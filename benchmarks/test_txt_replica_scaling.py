@@ -1,7 +1,7 @@
 """Txt-O — replica scaling: the multi-process serving tier vs one process.
 
-``BENCH_pr4.json`` documented the GIL ceiling: intra-process threading
-*lost* serving throughput (0.87-0.93x).  The replica tier answers with
+Intra-process threading hit the GIL ceiling: it *lost* throughput
+(0.87-0.93x at 2-8 threads on 1 CPU) and has since been removed.  The replica tier answers with
 processes — N executors, each a full interpreter, weights shared as one
 resident mmap of the plan cache's blob.  This benchmark measures the
 closed-loop serving throughput of:

@@ -127,9 +127,6 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     else:
         print(f"execution plan for {graph.name!r}: {len(plan)} steps, "
               f"peak live {plan.peak_live_bytes / 1024:.1f} KiB")
-        if plan.schedule is not None:
-            print(f"  schedule depth {plan.schedule.depth} (critical "
-                  f"path), max width {plan.schedule.max_width}")
     print(memory.report())
     if args.repeat > 0:
         import time
@@ -140,8 +137,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         feeds = {name: np.concatenate([array] * args.batch, axis=0)
                  if args.batch > 1 else array
                  for name, array in sample_feeds(graph).items()}
-        executor = Executor(graph, reuse_buffers=True, plan=plan,
-                            num_threads=args.num_threads)
+        executor = Executor(graph, reuse_buffers=True, plan=plan)
         executor.recycle(executor.run(feeds))            # warmup
         arena = executor.plan.arena
         baseline = arena.stats.snapshot()
@@ -228,8 +224,7 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
                     capacity=4096) if args.trace_out else None
     results = run_bench(graph, configs=configs, requests=args.requests,
                         clients=args.clients, warmup=args.warmup,
-                        max_latency_ms=args.max_latency_ms,
-                        num_threads=args.num_threads, tracer=tracer,
+                        max_latency_ms=args.max_latency_ms, tracer=tracer,
                         slow_request_ms=args.slow_request_ms)
     print(render(results, name=args.model))
     if args.metrics_json:
@@ -263,8 +258,7 @@ def _serve_bench_trace(args: argparse.Namespace, graph) -> int:
         rows.append(run_trace_replay(
             graph, arrivals, slo_ms=args.slo_ms, trace_name=args.trace,
             adaptive=adaptive, max_batch=args.max_batch,
-            max_latency_ms=args.max_latency_ms,
-            num_threads=args.num_threads, warmup=args.warmup))
+            max_latency_ms=args.max_latency_ms, warmup=args.warmup))
     print(render_trace_replay(rows, name=args.model))
     return 0
 
@@ -335,8 +329,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     with tempfile.TemporaryDirectory(prefix="repro-metrics-") as scratch:
         cache = PlanCache(args.cache_dir if args.cache_dir else scratch)
         with InferenceEngine(graph, max_batch=args.max_batch,
-                             plan_cache=cache,
-                             num_threads=args.num_threads) as engine:
+                             plan_cache=cache) as engine:
             engine.infer_many([feeds] * args.requests, timeout=60.0)
             # Scrape while the engine (and its queue gauge) is live.
             if args.format == "json":
@@ -419,8 +412,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     feeds = {name: np.concatenate([array] * args.batch, axis=0)
              if args.batch > 1 else array
              for name, array in sample_feeds(graph).items()}
-    executor = Executor(graph, reuse_buffers=True,
-                        num_threads=args.num_threads)
+    executor = Executor(graph, reuse_buffers=True)
     executor.recycle(executor.run(feeds))            # warmup
     executor.record_timeline = True
     timelines = []
@@ -436,9 +428,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     events = timeline_to_chrome(timelines, offsets_s=offsets)
     write_chrome_trace(args.out, events)
     tracks = {event["tid"] for event in events if event.get("ph") == "X"}
-    print(f"{args.model} batch={args.batch} x{args.runs} runs at "
-          f"{executor.num_threads} threads: {len(events)} events on "
-          f"{len(tracks)} tracks -> {args.out}")
+    print(f"{args.model} batch={args.batch} x{args.runs} runs: "
+          f"{len(events)} events on {len(tracks)} tracks -> {args.out}")
     print("open in https://ui.perfetto.dev or chrome://tracing")
     return 0
 
@@ -588,9 +579,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--repeat", type=int, default=0,
                         help="execute the compiled plan K times on the "
                              "scratch arena and report timing")
-    p_plan.add_argument("--num-threads", type=int, default=None,
-                        help="worker threads for plan execution "
-                             "(default: $REPRO_NUM_THREADS or 1)")
     p_plan.set_defaults(fn=_cmd_plan)
 
     p_cache = sub.add_parser("plan-cache",
@@ -625,9 +613,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--warmup", type=int, default=8)
     p_serve.add_argument("--max-latency-ms", type=float, default=2.0,
                          help="batching deadline for the oldest request")
-    p_serve.add_argument("--num-threads", type=int, default=None,
-                         help="threads per batch execution "
-                              "(default: $REPRO_NUM_THREADS or 1)")
     p_serve.add_argument("--metrics-json", default=None, metavar="PATH",
                          help="write a JSON snapshot of the telemetry "
                               "registry after the sweep")
@@ -695,7 +680,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_metrics.add_argument("--model", default="mlp")
     p_metrics.add_argument("--requests", type=int, default=32)
     p_metrics.add_argument("--max-batch", type=int, default=8)
-    p_metrics.add_argument("--num-threads", type=int, default=None)
     p_metrics.add_argument("--format", choices=("prom", "json", "summary"),
                            default="prom",
                            help="Prometheus text exposition (default), "
@@ -716,11 +700,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.add_argument("--model", default="wide_branch_net")
     p_trace.add_argument("--batch", type=int, default=1)
     p_trace.add_argument("--runs", type=int, default=3)
-    p_trace.add_argument("--num-threads", type=int, default=None,
-                         help="worker threads (default: "
-                              "$REPRO_NUM_THREADS or 1); at >= 2 the "
-                              "trace shows steps spread across worker "
-                              "tracks")
     p_trace.add_argument("--replicas", type=int, default=None, metavar="N",
                          help="trace a live N-replica serving tier "
                               "instead of a single executor: the merged "

@@ -346,10 +346,8 @@ def wide_branch_net(batch: int = 1, image_size: int = 32, channels: int = 3,
     """Inception-style classifier with ``branches`` independent conv
     branches off a shared stem, merged by concat.
 
-    The branches have no data dependencies on each other, so the plan
-    schedule is wide (max width == ``branches``) — the workload the
-    parallel executor's inter-op scheduling exists for, and the model
-    the thread-scaling benchmark measures.
+    The branches have no data dependencies on each other, so the graph
+    is wide (``branches`` independent steps per level).
     """
     b = GraphBuilder("wide_branch_net", seed=seed)
     x = b.input("input", (batch, channels, image_size, image_size))

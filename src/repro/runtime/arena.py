@@ -18,22 +18,19 @@ Ownership rules keep recycling safe:
 * graph outputs are :meth:`detach`-ed before they escape to the caller,
   and can be explicitly returned later via :meth:`adopt` (what the
   serving engine does after splitting a batch into per-request copies);
-* an arena is **single-owner by default**: every mutating call carries a
-  cheap in-use assertion, so two threads recycling through one arena
+* an arena is **single-owner**: every mutating call carries a cheap
+  in-use assertion, so two threads recycling through one arena
   concurrently raise :class:`ArenaOwnershipError` instead of silently
-  corrupting the free pool.  The parallel executor's activation buffers
-  genuinely cross threads (a branch computed on worker A is consumed and
-  released on worker B), so it opts its arena into *shared* mode
-  (:meth:`ScratchArena.share`), which replaces the assertion with a real
-  lock.  Intra-kernel scratch never crosses threads and stays private:
-  each pool worker draws from its own :class:`WorkerSlices` slice.
+  corrupting the free pool.  Plans run on one thread; a server that
+  runs batches concurrently gives each batch its own plan instance
+  (:meth:`repro.runtime.plan.ExecutionPlan.with_buffers`).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -91,47 +88,27 @@ class ScratchArena:
         # by id() is safe exactly because the reference is strong: an id
         # cannot be recycled while the array it names is still held here.
         self._issued: Dict[int, np.ndarray] = {}
-        # Single-owner guard state: None until shared.  ``_active`` holds
-        # the thread currently inside a mutating call; a second thread
-        # entering while it is set is concurrent misuse.
-        self._lock: "threading.Lock | None" = None
+        # Single-owner guard: ``_active`` holds the thread currently
+        # inside a mutating call; a second thread entering while it is
+        # set is concurrent misuse.
         self._active: "int | None" = None
         # Scrape-time telemetry: the registry reads this arena's stats
         # through a weak reference; the alloc/release paths pay nothing.
         _telemetry.track_arena(self)
 
-    def share(self) -> "ScratchArena":
-        """Opt into thread-safe shared mode: mutating calls serialize on
-        a lock instead of asserting single ownership.  Idempotent."""
-        if self._lock is None:
-            self._lock = threading.Lock()
-        return self
-
-    @property
-    def is_shared(self) -> bool:
-        return self._lock is not None
-
-    def _enter(self) -> bool:
-        """Begin a mutating call; returns True when a lock was taken."""
-        lock = self._lock
-        if lock is not None:
-            lock.acquire()
-            return True
+    def _enter(self) -> None:
+        """Begin a mutating call, asserting single ownership."""
         me = threading.get_ident()
         holder = self._active
         if holder is not None and holder != me:
             raise ArenaOwnershipError(
                 "ScratchArena used concurrently from multiple threads; "
-                "arenas are single-owner — call share() for thread-safe "
-                "use, or give each worker its own arena")
+                "arenas are single-owner — give each thread its own plan "
+                "instance (ExecutionPlan.with_buffers())")
         self._active = me
-        return False
 
-    def _exit(self, locked: bool) -> None:
-        if locked:
-            self._lock.release()
-        else:
-            self._active = None
+    def _exit(self) -> None:
+        self._active = None
 
     @staticmethod
     def _key(shape, dtype) -> Tuple[Tuple[int, ...], str]:
@@ -140,7 +117,7 @@ class ScratchArena:
     def alloc(self, shape, dtype) -> np.ndarray:
         """Return an uninitialized buffer, recycled when possible."""
         key = self._key(shape, dtype)
-        locked = self._enter()
+        self._enter()
         try:
             free = self._free.get(key)
             if free:
@@ -159,7 +136,7 @@ class ScratchArena:
             self._note_peak()
             return buf
         finally:
-            self._exit(locked)
+            self._exit()
 
     def reserve(self, shape, dtype, count: int = 1) -> int:
         """Pre-populate the free pool up to ``count`` buffers of this key.
@@ -170,7 +147,7 @@ class ScratchArena:
         steady state begins.  Returns how many buffers were added.
         """
         key = self._key(shape, dtype)
-        locked = self._enter()
+        self._enter()
         try:
             free = self._free.setdefault(key, [])
             added = 0
@@ -186,11 +163,11 @@ class ScratchArena:
             self._note_peak()
             return added
         finally:
-            self._exit(locked)
+            self._exit()
 
     def release(self, array: np.ndarray) -> bool:
         """Return a dead tensor to the pool; ignores arrays we never issued."""
-        locked = self._enter()
+        self._enter()
         try:
             issued = self._issued.pop(id(array), None)
             if issued is None:
@@ -203,24 +180,24 @@ class ScratchArena:
             self._pooled_nbytes += issued.nbytes
             return True
         finally:
-            self._exit(locked)
+            self._exit()
 
     def detach(self, array: np.ndarray) -> None:
         """Stop tracking an issued buffer (it escapes to the caller)."""
-        locked = self._enter()
+        self._enter()
         try:
             issued = self._issued.pop(id(array), None)
             if issued is not None:
                 self.stats.outstanding_bytes -= issued.nbytes
         finally:
-            self._exit(locked)
+            self._exit()
 
     def adopt(self, array: np.ndarray) -> bool:
         """Donate a caller-owned base array to the pool (explicit recycle)."""
         if not isinstance(array, np.ndarray) or array.base is not None \
                 or not array.flags["C_CONTIGUOUS"]:
             return False
-        locked = self._enter()
+        self._enter()
         try:
             self._free.setdefault(self._key(array.shape, array.dtype),
                                   []).append(array)
@@ -229,7 +206,7 @@ class ScratchArena:
             self._note_peak()
             return True
         finally:
-            self._exit(locked)
+            self._exit()
 
     def _note_peak(self) -> None:
         live = self.stats.outstanding_bytes + self._pooled_nbytes
@@ -240,50 +217,14 @@ class ScratchArena:
         return sum(buf.nbytes for bufs in self._free.values() for buf in bufs)
 
     def clear(self) -> None:
-        locked = self._enter()
+        self._enter()
         try:
             self._free.clear()
             self._issued.clear()
             self._pooled_nbytes = 0
             self.stats.outstanding_bytes = 0
         finally:
-            self._exit(locked)
-
-
-class WorkerSlices:
-    """Per-worker-thread scratch slices for parallel execution.
-
-    Kernel workspaces (im2col columns, padded inputs, accumulators) are
-    keyed by shape, so two threads running equal-shaped kernels through
-    one workspace would silently trample each other's scratch.  This
-    container gives every pool worker its own lazily-created slice,
-    keyed by thread identity; slices persist across runs, so per-worker
-    scratch reaches the same allocate-once steady state as the
-    sequential path.
-    """
-
-    def __init__(self, factory: Callable[[], object]) -> None:
-        self._factory = factory
-        self._slices: Dict[int, object] = {}
-        self._lock = threading.Lock()
-
-    def get(self) -> object:
-        """The calling thread's slice, created on first use."""
-        ident = threading.get_ident()
-        slice_ = self._slices.get(ident)
-        if slice_ is None:
-            with self._lock:
-                slice_ = self._slices.get(ident)
-                if slice_ is None:
-                    slice_ = self._factory()
-                    self._slices[ident] = slice_
-        return slice_
-
-    def __len__(self) -> int:
-        return len(self._slices)
-
-    def values(self):
-        return list(self._slices.values())
+            self._exit()
 
 
 class RunContext:

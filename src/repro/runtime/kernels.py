@@ -49,7 +49,7 @@ differs.
 from __future__ import annotations
 
 import os
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -999,52 +999,3 @@ def pad(data: np.ndarray, pads,
                      for (b, _), dim in zip(pads, data.shape))
     out[interior] = data
     return out
-
-
-# -- sharded entry points ------------------------------------------------------
-#
-# Intra-op parallelism splits one wide kernel call along the *batch/row*
-# axis into independent slices computed by different pool workers, each
-# writing directly into a disjoint view of the preallocated ``out=``
-# buffer.  The split must be bitwise-invisible: conv qualifies because
-# numpy's batched matmul issues one identical (M, N, K) GEMM per image
-# whether the batch loop covers all images or a slice, and integer GEMMs
-# qualify because integer accumulation is exact under any grouping.
-# Float *dense* row/column splits do NOT qualify — changing the GEMM's M
-# or N flips OpenBLAS micro-kernel selection and the last ulp with it
-# (measured; see DESIGN.md) — the same class of prohibition as split-K,
-# so float dense is never sharded.
-
-
-def shard_bounds(total: int, parts: int) -> List[Tuple[int, int]]:
-    """Split ``range(total)`` into ``parts`` near-equal [lo, hi) slices."""
-    parts = max(1, min(int(parts), int(total)))
-    edges = [total * i // parts for i in range(parts + 1)]
-    return [(edges[i], edges[i + 1]) for i in range(parts)]
-
-
-def conv2d_rows(data: np.ndarray, weight: np.ndarray, lo: int, hi: int,
-                out: np.ndarray, bias=None, stride=1, padding=0,
-                groups: int = 1, workspace: Optional[Workspace] = None,
-                packed_weight: Optional[np.ndarray] = None) -> np.ndarray:
-    """Convolve images ``lo:hi`` of the batch into ``out[lo:hi]``.
-
-    Row-sliced entry point for intra-op batch sharding: the slice runs
-    the same per-image GEMM calls the full-batch kernel would, so the
-    assembled output is bitwise-identical to one unsharded call.
-    """
-    return conv2d(data[lo:hi], weight, bias=bias, stride=stride,
-                  padding=padding, groups=groups, out=out[lo:hi],
-                  workspace=workspace, packed_weight=packed_weight)
-
-
-def dense_rows(data: np.ndarray, weight: np.ndarray, lo: int, hi: int,
-               out: np.ndarray, bias=None,
-               workspace: Optional[Workspace] = None) -> np.ndarray:
-    """Dense rows ``lo:hi`` into ``out[lo:hi]``.
-
-    Only bitwise-safe for *integer* operands (exact accumulation); float
-    callers must keep the whole GEMM in one call (see module comment).
-    """
-    return dense(data[lo:hi], weight, bias=bias, out=out[lo:hi],
-                 workspace=workspace)

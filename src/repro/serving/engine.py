@@ -1,4 +1,5 @@
-"""Batched inference engine: micro-batching over a pool of plan workers.
+"""Batched inference engine: micro-batching over the engine's own
+dispatch threads.
 
 The serving layer the ROADMAP's "heavy traffic" north star asks for,
 built on the compiled-plan runtime:
@@ -6,19 +7,22 @@ built on the compiled-plan runtime:
 * a :class:`repro.serving.batcher.BatchQueue` coalesces concurrent
   single-sample requests along the leading batch axis (Fig. 4's batch
   scaling, applied online);
-* whole batches run as tasks on the process-wide shared
-  :class:`repro.runtime.parallel.WorkerPool` — numpy's BLAS-bound
-  kernels release the GIL, so batches overlap on multi-core hosts, and
-  with ``num_threads > 1`` each batch's executor additionally schedules
-  independent plan steps (and row shards of wide steps) onto the *same*
-  pool.  One pool serves both levels; there are no ad-hoc threads;
+* the engine starts ``workers`` dispatch threads
+  (``repro-serve-dispatch-<i>``).  Each one, under an assembly lock,
+  forms the next batch from the queue and then runs it inline on a
+  sequential executor — only a free thread forms a batch, so queued
+  requests keep coalescing while every thread is busy.  numpy's
+  BLAS-bound kernels release the GIL, so batches on different threads
+  overlap on multi-core hosts;
 * every plan instance owns a scratch arena and kernel workspace
   (``reuse_buffers``), so steady-state serving performs no large heap
   allocations: batch results are split into per-request copies and the
   batch buffers immediately recycled.
 
-Plans are compiled once per observed batch size and shared: workers hold
-cheap ``with_buffers()`` instances over the same immutable compiled steps.
+Plans are compiled once per observed batch size and shared: each batch
+in flight holds a cheap ``with_buffers()`` instance over the same
+immutable compiled steps.  Scaling past one process is the replica
+tier's job (:mod:`repro.serving.replicas`).
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ import numpy as np
 from ..ir.graph import Graph
 from ..runtime.arena import ArenaStats
 from ..runtime.executor import Executor
-from ..runtime.parallel import get_pool, resolve_num_threads
 from ..runtime.plan import ExecutionPlan, compile_plan
 from ..telemetry import collectors as _telemetry
 from ..telemetry.tracing import RequestTrace, Tracer
@@ -120,14 +123,15 @@ class InferenceEngine:
     graph
         Model to serve; rebatched internally, so any build batch works.
     workers
-        Concurrent plan workers (and the bound on in-flight batches).
+        Dispatch threads, each running one batch at a time (the bound
+        on in-flight batches).
     max_batch
         Largest batch the queue may coalesce.
     max_latency_ms
         How long the oldest queued request may wait for the batch to
         fill before being dispatched anyway.
     reuse_buffers
-        Run workers on scratch arenas (allocation-free steady state).
+        Run batches on scratch arenas (allocation-free steady state).
     plan_cache
         Optional :class:`repro.runtime.plan_cache.PlanCache`: per-batch
         plan builds go through :func:`load_or_build`, so a restarted
@@ -137,12 +141,8 @@ class InferenceEngine:
         :class:`repro.optim.passes.AOTConfig` for cache-backed builds
         (bitwise-safe defaults when None).
     prewarm
-        Pre-populate each worker arena from the plan's activation shapes
-        (first run allocation-free, not just steady state).
-    num_threads
-        Threads each batch's executor may use for dependency-scheduled
-        step execution and row sharding (bitwise-identical results at
-        any value).  ``None`` defers to ``REPRO_NUM_THREADS``, else 1.
+        Pre-populate each executor's arena from the plan's activation
+        shapes (first run allocation-free, not just steady state).
     tracer
         Optional :class:`repro.telemetry.tracing.Tracer`.  Requests the
         tracer samples carry a :class:`RequestTrace` through the whole
@@ -188,7 +188,6 @@ class InferenceEngine:
                  reuse_buffers: bool = True,
                  plan_cache=None, aot_config=None,
                  prewarm: bool = False,
-                 num_threads: Optional[int] = None,
                  tracer: Optional[Tracer] = None,
                  slow_request_ms: Optional[float] = None,
                  adaptive: bool = False,
@@ -246,7 +245,8 @@ class InferenceEngine:
         self.slow_requests = 0
         self._slow_lock = threading.Lock()
         self._closed = False
-        # Compiled base plans shared across workers, keyed by batch size.
+        # Compiled base plans shared across executors, keyed by batch
+        # size.
         self._compile_lock = threading.Lock()
         self._compiled: Dict[int, Tuple[Graph, ExecutionPlan]] = {}
         # Checked-in executors per batch size, plus every executor ever
@@ -254,19 +254,17 @@ class InferenceEngine:
         self._pool_lock = threading.Lock()
         self._free: Dict[int, List[Executor]] = {}
         self._executors: List[Executor] = []
-        # A worker slot must be free before the dispatcher forms a batch;
-        # otherwise it would drain the queue into the shared pool's
-        # backlog and lose every coalescing opportunity.
-        self._slots = threading.Semaphore(self.workers)
-        self.num_threads = resolve_num_threads(num_threads)
-        # One shared process pool runs both the engine's batch tasks and
-        # the executors' step/shard helpers; size it so a full complement
-        # of batches still leaves the intra-batch helpers runnable.
-        self._pool = get_pool(ensure=self.workers + self.num_threads - 1)
-        self._dispatcher = threading.Thread(target=self._dispatch_loop,
-                                            name="repro-serve-dispatch",
-                                            daemon=True)
-        self._dispatcher.start()
+        # One dispatch thread forms a batch at a time, and only while it
+        # is free to run it: batches never pile up ahead of the threads,
+        # so queued requests keep coalescing while every thread is busy.
+        self._assembly_lock = threading.Lock()
+        self._dispatchers = [
+            threading.Thread(target=self._dispatch_loop,
+                             name=f"repro-serve-dispatch-{index}",
+                             daemon=True)
+            for index in range(self.workers)]
+        for thread in self._dispatchers:
+            thread.start()
         # Serving series (requests, failures, queue depth, windowed
         # percentiles) surface in the process-wide metrics registry via
         # a scrape-time collector over live engines.
@@ -360,17 +358,23 @@ class InferenceEngine:
             plan_cache_misses=cache_misses)
 
     def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting work, fail whatever is still queued, and wait
-        for in-flight batches to finish.
+        """Stop accepting work, wait for the dispatch threads to finish
+        their in-flight batches, and fail whatever is still queued.
 
-        The shared process pool is never shut down (other subsystems use
-        it); instead, draining every worker slot proves all of this
-        engine's batch tasks have completed."""
+        ``timeout`` bounds the whole wait; requests still queued when it
+        expires fail with :class:`EngineClosedError`."""
         if self._closed:
             return
         self._closed = True
         self.queue.close()
-        self._dispatcher.join(timeout=timeout)
+        deadline = (time.monotonic() + timeout
+                    if timeout is not None else None)
+        current = threading.current_thread()
+        for thread in self._dispatchers:
+            if thread is current:
+                continue               # close() from a result callback
+            thread.join(timeout=None if deadline is None
+                        else max(0.0, deadline - time.monotonic()))
         drained = self.queue.drain()
         if drained:
             # Requests failed at shutdown are failures like any other:
@@ -379,15 +383,6 @@ class InferenceEngine:
             self._fail_batch(
                 drained, EngineClosedError("engine closed before "
                                            "execution"))
-        acquired = 0
-        for _ in range(self.workers):
-            ok = (self._slots.acquire(timeout=timeout)
-                  if timeout is not None else self._slots.acquire())
-            if not ok:
-                break
-            acquired += 1
-        for _ in range(acquired):
-            self._slots.release()
         if self._latency_model_path is not None and \
                 self.latency_model is not None and \
                 self.latency_model.observations > 0:
@@ -470,8 +465,7 @@ class InferenceEngine:
                 return free.pop()
         graph, plan = self._base_plan(batch)
         executor = Executor(graph, reuse_buffers=self.reuse_buffers,
-                            plan=plan, prewarm=self.prewarm,
-                            num_threads=self.num_threads)
+                            plan=plan, prewarm=self.prewarm)
         with self._pool_lock:
             self._executors.append(executor)
         return executor
@@ -482,35 +476,22 @@ class InferenceEngine:
 
     def _dispatch_loop(self) -> None:
         while True:
-            self._slots.acquire()
-            batch = self.queue.next_batch()
+            with self._assembly_lock:
+                batch = self.queue.next_batch()
             if batch is None:
-                self._slots.release()
                 return
             if self.tracer is not None:
                 for request in batch:
                     if request.trace is not None:
                         request.trace.mark("dequeued")
             try:
-                self._pool.submit(self._make_batch_task(batch))
-            except BaseException as exc:
-                # The task never made it onto the pool, so its finally
-                # block will never run: release the worker slot here (a
-                # leaked permit would hang a later close() on slot
-                # drain) and fail the batch's futures.
-                self._slots.release()
-                self._fail_batch(
-                    batch, exc,
-                    traces=[request.trace for request in batch
-                            if request.trace is not None])
-
-    def _make_batch_task(self, batch: List[InferenceRequest]):
-        def task() -> None:
-            try:
                 self._run_batch(batch)
-            finally:
-                self._slots.release()
-        return task
+            except Exception:
+                # _run_batch fails its own futures; whatever still
+                # escapes (a future the client cancelled) must not take
+                # a dispatch thread down with it.
+                logger.exception("dispatch thread: batch finalization "
+                                 "failed")
 
     def _run_batch(self, requests: List[InferenceRequest]) -> None:
         size = len(requests)
@@ -522,10 +503,14 @@ class InferenceEngine:
         for trace in traces:
             trace.batch_size = size
             trace.mark("task_start")
-        task_t0 = time.perf_counter() if self.latency_model is not None \
-            else 0.0
         try:
             executor = self._checkout(size)
+            # Start the latency-model clock only once the executor is in
+            # hand: the first batch of a size compiles its plan inside
+            # _checkout, and an observation carrying compile time would
+            # predict every deadline unmeetable and shed everything.
+            task_t0 = time.perf_counter() \
+                if self.latency_model is not None else 0.0
             try:
                 if size == 1:
                     feeds = requests[0].feeds
@@ -553,7 +538,7 @@ class InferenceEngine:
                         trace.mark("executed")
                         trace.attach_steps(timeline)
                 # Per-request copies so the (large) batch buffers can go
-                # straight back to the worker's arena.
+                # straight back to the executor's arena.
                 results = [
                     {name: array[index:index + 1].copy()
                      for name, array in outputs.items()}

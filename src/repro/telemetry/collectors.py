@@ -1,6 +1,6 @@
 """Scrape-time collectors for the runtime's existing cheap counters.
 
-The arena, worker pool, plan cache, serving recorder/engine, and safety
+The arena, kernel workspace, plan cache, serving recorder/engine, and safety
 monitor pipeline all keep small local stats already (they predate this
 module).  Rather than threading registry handles through every hot path,
 each instance registers itself here at construction — a single
@@ -20,8 +20,6 @@ kernel workspace          counters   allocations/allocated_bytes/hits
                                      (``_total``)
                           gauges     bytes, peak_bytes, instances
 plan cache                counters   hits/misses/stores (``_total``)
-worker pool               counters   tasks_submitted/tasks_completed
-                          gauges     workers, tasks_pending
 serving (per recorder)    counters   requests/batches/failures (``_total``)
                           gauges     queue_depth, latency p50/p95/p99 ms,
                                      throughput window rps, failure ratio
@@ -49,7 +47,6 @@ from .registry import MetricFamily, MetricsRegistry, Sample, get_registry
 
 _arenas: "weakref.WeakSet" = weakref.WeakSet()
 _workspaces: "weakref.WeakSet" = weakref.WeakSet()
-_pools: "weakref.WeakSet" = weakref.WeakSet()
 _plan_caches: "weakref.WeakSet" = weakref.WeakSet()
 _engines: "weakref.WeakSet" = weakref.WeakSet()
 _pipelines: "weakref.WeakSet" = weakref.WeakSet()
@@ -67,11 +64,6 @@ def track_arena(arena) -> None:
 def track_workspace(workspace) -> None:
     _ensure_default_installed()
     _workspaces.add(workspace)
-
-
-def track_pool(pool) -> None:
-    _ensure_default_installed()
-    _pools.add(pool)
 
 
 def track_plan_cache(cache) -> None:
@@ -112,7 +104,6 @@ def install_runtime_collectors(registry: MetricsRegistry) -> List:
     return [
         registry.register_collector(_collect_arenas),
         registry.register_collector(_collect_workspaces),
-        registry.register_collector(_collect_pools),
         registry.register_collector(_collect_plan_caches),
         registry.register_collector(_collect_engines),
         registry.register_collector(_collect_pipelines),
@@ -207,27 +198,6 @@ def _collect_workspaces() -> Iterable[MetricFamily]:
         "Summed per-workspace high-water scratch bytes", peak)
     yield _gauge_family(
         "repro_workspace_instances", "Live kernel workspaces", instances)
-
-
-def _collect_pools() -> Iterable[MetricFamily]:
-    workers = pending = submitted = completed = 0
-    for pool in list(_pools):
-        workers += pool.size
-        pending += pool.pending()
-        submitted += pool.tasks_submitted
-        completed += pool.tasks_completed
-    yield _gauge_family(
-        "repro_pool_workers", "Threads in the shared worker pools",
-        workers)
-    yield _gauge_family(
-        "repro_pool_tasks_pending",
-        "Tasks queued on the worker pools, not yet started", pending)
-    yield _counter_family(
-        "repro_pool_tasks_submitted_total",
-        "Tasks ever submitted to the worker pools", submitted)
-    yield _counter_family(
-        "repro_pool_tasks_completed_total",
-        "Tasks the worker pools finished running", completed)
 
 
 def _collect_plan_caches() -> Iterable[MetricFamily]:

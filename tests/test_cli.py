@@ -160,7 +160,6 @@ class TestMetricsCommand:
         families = parse_prometheus(out)
         for name in ("repro_arena_allocations_total",
                      "repro_plan_cache_misses_total",
-                     "repro_pool_workers",
                      "repro_serving_requests_total"):
             assert name in families, name
 
@@ -186,24 +185,6 @@ class TestTraceCommand:
         events = validate_chrome_trace(path.read_text())
         # two runs of the same plan -> same step count per run
         assert len(events) % 2 == 0
-
-    def test_multithreaded_trace_uses_worker_tracks(self, tmp_path):
-        from repro.telemetry import validate_chrome_trace
-
-        # Whether workers win any steps from the caller's claim loop is
-        # a scheduling race on a fast host, so allow a few attempts.
-        for attempt in range(3):
-            path = tmp_path / f"trace4_{attempt}.json"
-            assert main(["trace", "--model", "wide_branch_net",
-                         "--batch", "8", "--runs", "3",
-                         "--num-threads", "4",
-                         "--out", str(path)]) == 0
-            events = validate_chrome_trace(path.read_text())
-            tracks = {event["tid"] for event in events}
-            if len(tracks) >= 2:  # steps spread across worker tracks
-                return
-        raise AssertionError(
-            f"expected >= 2 worker tracks, got {sorted(tracks)}")
 
     def test_replica_fleet_trace(self, tmp_path, capsys):
         from repro.telemetry import (

@@ -1,4 +1,6 @@
-"""Tests for repro.runtime.executor: dispatch, feeds, hooks."""
+"""Tests for repro.runtime.executor: dispatch, feeds, hooks, arena guard."""
+
+import threading
 
 import numpy as np
 import pytest
@@ -6,7 +8,13 @@ import pytest
 from repro.ir import build_model
 from repro.ir.graph import Graph
 from repro.ir.tensor import DType, TensorSpec
-from repro.runtime import ExecutionError, Executor, run_graph
+from repro.runtime import (
+    ArenaOwnershipError,
+    ExecutionError,
+    Executor,
+    ScratchArena,
+    run_graph,
+)
 
 
 def dense_graph():
@@ -267,3 +275,11 @@ class TestErrors:
         g.set_outputs(["y"])
         with pytest.raises(Exception):
             run_graph(g, {"x": np.zeros((1, 4), dtype=np.float32)})
+
+
+class TestArenaOwnership:
+    def test_concurrent_misuse_fails_loudly(self):
+        arena = ScratchArena()
+        arena._active = threading.get_ident() + 1   # a thread mid-call
+        with pytest.raises(ArenaOwnershipError, match="with_buffers"):
+            arena.alloc((4,), np.float32)

@@ -1,5 +1,6 @@
 """Tests for repro.serving: micro-batching queue, engine, metrics, bench."""
 
+import sys
 import threading
 import time
 
@@ -411,21 +412,20 @@ class TestEngineShutdownRaces:
                                                        mlp_feeds):
         engine = InferenceEngine(mlp_graph, workers=1, max_batch=1,
                                  max_latency_ms=1.0)
-        captured = []
+        running, release = threading.Event(), threading.Event()
+        checkout = engine._checkout
 
-        class CapturingPool:
-            def submit(self, task):
-                captured.append(task)
+        def gated_checkout(batch):
+            running.set()
+            assert release.wait(30)
+            return checkout(batch)
 
-        # The captured task never runs, so the dispatcher's only worker
-        # slot stays held and every later request is stuck in the queue:
-        # close() must drain those as *counted* failures.
-        engine._pool = CapturingPool()
+        # The only dispatch thread blocks inside its first batch, so
+        # every later request is stuck in the queue: close() must drain
+        # those as *counted* failures.
+        engine._checkout = gated_checkout
         blocker = engine.infer(mlp_feeds)
-        deadline = time.monotonic() + 5
-        while not captured and time.monotonic() < deadline:
-            time.sleep(0.01)
-        assert captured
+        assert running.wait(5)
         queued = [engine.infer(mlp_feeds) for _ in range(3)]
         engine.close(timeout=0.5)
         for future in queued:
@@ -434,30 +434,131 @@ class TestEngineShutdownRaces:
         snapshot = engine.metrics()
         assert snapshot.failures == 3
         assert snapshot.failure_rate > 0.0
-        # Run the stranded batch: the slot releases and its request
-        # completes normally (close never abandoned it).
-        captured[0]()
+        # Let the stranded batch finish: its request completes normally
+        # (close never abandoned it) and the thread then exits.
+        release.set()
         assert blocker.result(timeout=10)
+        for thread in engine._dispatchers:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
 
-    def test_pool_submit_failure_releases_slot(self, mlp_graph, mlp_feeds):
+
+def dispatch_threads():
+    return [thread for thread in threading.enumerate()
+            if thread.name.startswith("repro-serve-dispatch")]
+
+
+class TestEngineDispatchThreads:
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_close_joins_every_dispatch_thread(self, mlp_graph, mlp_feeds,
+                                               workers):
+        engine = InferenceEngine(mlp_graph, workers=workers, max_batch=2,
+                                 max_latency_ms=0.5)
+        try:
+            assert len(dispatch_threads()) == workers
+            results = engine.infer_many([mlp_feeds] * 8, timeout=30)
+            assert len(results) == 8
+        finally:
+            engine.close(timeout=10)
+        assert dispatch_threads() == []
+
+    def test_stress_more_threads_than_cores(self, mlp_graph, mlp_feeds):
+        # Four dispatch threads on a fast switch interval share the
+        # queue, the executor free lists and the recorder.  A batch that
+        # ran on another batch's executor would trip the arena's
+        # single-owner guard or corrupt a result; a lost update would
+        # show in the request count.
+        reference = Executor(mlp_graph.with_batch(1)).run(mlp_feeds)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with InferenceEngine(mlp_graph, workers=4, max_batch=2,
+                                 max_latency_ms=0.2) as engine:
+                results = engine.infer_many([mlp_feeds] * 96, timeout=60)
+                snapshot = engine.metrics()
+        finally:
+            sys.setswitchinterval(interval)
+        assert snapshot.requests == 96
+        assert snapshot.failures == 0
+        for result in results:
+            for name in reference:
+                np.testing.assert_allclose(result[name], reference[name],
+                                           rtol=1e-5, atol=1e-6)
+
+    def test_cancelled_future_does_not_kill_the_dispatch_thread(
+            self, mlp_graph, mlp_feeds):
         engine = InferenceEngine(mlp_graph, workers=1, max_batch=1)
+        running, release = threading.Event(), threading.Event()
+        checkout = engine._checkout
 
-        class RejectingPool:
-            def submit(self, task):
-                raise RuntimeError("pool rejected task")
+        def gated_checkout(batch):
+            running.set()
+            assert release.wait(30)
+            return checkout(batch)
 
-        engine._pool = RejectingPool()
-        future = engine.infer(mlp_feeds)
-        with pytest.raises(RuntimeError, match="pool rejected task"):
-            future.result(timeout=10)
-        assert engine.metrics().failures == 1
-        # A leaked permit would stall the slot drain below for the full
-        # timeout; with the release in place close() returns promptly.
-        start = time.monotonic()
-        engine.close(timeout=10)
-        assert time.monotonic() - start < 5
-        assert engine._slots.acquire(timeout=1)   # permit survived
-        engine._slots.release()
+        engine._checkout = gated_checkout
+        try:
+            doomed = engine.infer(mlp_feeds)
+            assert running.wait(5)
+            assert doomed.cancel()      # the client gives up mid-batch
+            release.set()
+            # Setting the cancelled future's result raises; the only
+            # dispatch thread must survive it and serve the next request.
+            assert engine.infer(mlp_feeds).result(timeout=10)
+        finally:
+            release.set()
+            engine.close(timeout=10)
+
+    def test_close_from_a_result_callback(self, mlp_graph, mlp_feeds):
+        engine = InferenceEngine(mlp_graph, workers=2, max_batch=1)
+        closed = threading.Event()
+
+        def close_engine(_future):
+            engine.close(timeout=10)
+            closed.set()
+
+        # Done-callbacks run on the dispatch thread that set the result,
+        # so close() must not try to join the thread it runs on.
+        engine.infer(mlp_feeds).add_done_callback(close_engine)
+        assert closed.wait(10)
+        for thread in engine._dispatchers:
+            thread.join(timeout=10)
+        assert dispatch_threads() == []
+
+    def test_workers_bound_batches_in_flight(self, mlp_graph, mlp_feeds):
+        engine = InferenceEngine(mlp_graph, workers=3, max_batch=1)
+        lock = threading.Lock()
+        state = {"inflight": 0, "peak": 0}
+        full, release = threading.Event(), threading.Event()
+        checkout = engine._checkout
+
+        def gated_checkout(batch):
+            with lock:
+                state["inflight"] += 1
+                state["peak"] = max(state["peak"], state["inflight"])
+                if state["inflight"] == 3:
+                    full.set()
+            assert release.wait(30)
+            with lock:
+                state["inflight"] -= 1
+            return checkout(batch)
+
+        engine._checkout = gated_checkout
+        try:
+            futures = [engine.infer(mlp_feeds) for _ in range(4)]
+            assert full.wait(5)
+            time.sleep(0.2)
+            # Three batches run; the fourth request waits in the queue
+            # because no dispatch thread is free to form its batch.
+            assert state["inflight"] == 3
+            assert engine.queue.depth() == 1
+            release.set()
+            for future in futures:
+                assert future.result(timeout=10)
+            assert state["peak"] == 3
+        finally:
+            release.set()
+            engine.close(timeout=10)
 
 
 class TestFeedAliasing:

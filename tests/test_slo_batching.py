@@ -310,6 +310,31 @@ class TestEngineShedding:
             # Warm start: the calibration came back from disk.
             assert engine.latency_model.observations == trained
 
+    def test_plan_compile_time_stays_out_of_the_latency_model(
+            self, mlp_graph, mlp_feeds, monkeypatch):
+        # The first batch of a size compiles its plan.  Were that time
+        # observed, predict(1) would sit far above any tight SLO, every
+        # later request would be shed as doomed, and with no further
+        # observations the model would never recover.
+        import repro.serving.engine as engine_module
+
+        compile_plan = engine_module.compile_plan
+
+        def slow_compile(graph):
+            time.sleep(0.3)
+            return compile_plan(graph)
+
+        monkeypatch.setattr(engine_module, "compile_plan", slow_compile)
+        with InferenceEngine(mlp_graph, workers=1, max_batch=1,
+                             adaptive=True) as engine:
+            # Enough sequential batches to warm the model; only the
+            # first compiles.
+            for _ in range(engine.latency_model.min_samples):
+                engine.infer_sync(mlp_feeds, timeout=30)
+            predicted = engine.latency_model.predict(1)
+        assert predicted is not None
+        assert predicted < 0.1
+
     def test_adaptive_results_match_reference(self, mlp_graph, mlp_feeds):
         from repro.runtime import Executor
 

@@ -491,7 +491,7 @@ class TestServingIntegration:
         from repro.serving.bench import sample_feeds
 
         graph = build_model("mlp")
-        executor = Executor(graph, num_threads=1)
+        executor = Executor(graph)
         executor.record_timeline = True
         executor.run(sample_feeds(graph))
         timeline = executor.last_timeline
