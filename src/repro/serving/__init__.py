@@ -1,5 +1,7 @@
-"""Serving layer: dynamic micro-batching over pooled execution plans,
-plus the multi-process replica tier for multi-core scale."""
+"""Serving layer: one front end (admission, shedding, completion,
+telemetry) over two backends — dynamic micro-batching over pooled
+execution plans in process, and the multi-process replica tier for
+multi-core scale."""
 
 from .batcher import (
     BatchQueue,
@@ -23,12 +25,8 @@ from .bench import (
     run_trace_replay,
     sample_feeds,
 )
-from .engine import (
-    EngineClosedError,
-    InferenceEngine,
-    ShedPolicy,
-    check_sample,
-)
+from .engine import InferenceEngine
+from .frontend import EngineClosedError, ShedPolicy, check_sample
 from .latency_model import BatchLatencyModel
 from .metrics import MetricsRecorder, MetricsSnapshot, percentile
 from .replicas import (

@@ -20,13 +20,15 @@ Two assembly policies share this queue:
   model's execute-latency prediction; it waits for more arrivals only
   while the model says a bigger batch would still make the deadline.
   Requests whose deadline cannot be met even at batch size 1 are *shed*
-  through the ``on_shed`` callback instead of burning a queue slot and
-  execute time on a guaranteed miss.
+  through the ``on_shed`` callback (reason ``"slo"``) instead of
+  burning a queue slot and execute time on a guaranteed miss.
 
 Priorities order both service and shedding: higher classes dispatch
 first (FIFO within a class), and when the queue is capacity-bounded
 (``queue_limit``) an arriving higher-priority request evicts the
-youngest request of the lowest class rather than being turned away.
+youngest request of the lowest class rather than being turned away
+(reason ``"queue_full"``).  The bound is checked and the request
+inserted under one lock, so concurrent submitters cannot overshoot it.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ class QueueClosedError(RuntimeError):
 
 
 class RequestShedError(RuntimeError):
-    """Raised on a request's future when the serving tier sheds it.
+    """Raised on a request's future when a serving front end sheds it.
 
-    The single-process counterpart of
-    :class:`repro.serving.replicas.TierSaturatedError`: a typed signal
-    that the request was rejected *early* — its deadline was predicted
-    unmeetable, it was evicted by a higher-priority arrival, or the
-    admission controller was over its miss-rate threshold — rather than
-    left to time out after consuming a queue slot and execute time.
-    Callers can retry with backoff, divert, or degrade.
+    The one shed signal of both backends (the in-process engine and the
+    replica tier): a typed signal that the request was rejected *early*
+    — the queue was full and nothing queued ranked below it, its
+    deadline was predicted unmeetable, or the admission breaker was
+    over its miss-rate threshold — rather than left to time out after
+    consuming a queue slot and execute time.  Callers can retry with
+    backoff, divert, or degrade.
     """
 
 
@@ -99,9 +101,10 @@ class BatchQueue:
         None``; supplying it enables deadline-aware assembly (None
         predictions — a cold model — fall back to the timer policy).
     on_shed
-        Callable invoked (outside the queue lock) with each request the
-        queue sheds; the owner fails the request's future and records
-        the event.  Without it nothing is ever shed.
+        Callable invoked (outside the queue lock) as ``on_shed(request,
+        reason)`` for each request the queue sheds, ``reason`` being
+        ``"queue_full"`` or ``"slo"``; the owner fails the request's
+        future and records the event.  Without it nothing is ever shed.
     queue_limit
         Optional bound on queued requests; an arrival past it either
         evicts the youngest lowest-priority request (if the arrival
@@ -116,8 +119,8 @@ class BatchQueue:
                  max_latency_s: float = 0.002,
                  cost_model: Optional[Callable[[int], Optional[float]]]
                  = None,
-                 on_shed: Optional[Callable[["InferenceRequest"], None]]
-                 = None,
+                 on_shed: Optional[Callable[["InferenceRequest", str],
+                                            None]] = None,
                  queue_limit: Optional[int] = None,
                  headroom_s: float = 0.0005) -> None:
         if max_batch < 1:
@@ -162,7 +165,7 @@ class BatchQueue:
                 self._append(request)
                 self._cond.notify()
         for victim in shed:
-            self.on_shed(victim)
+            self.on_shed(victim, "queue_full")
 
     def _append(self, request: InferenceRequest) -> None:
         queue = self._classes.get(request.priority)
@@ -217,7 +220,7 @@ class BatchQueue:
             # request must not wait for the next dispatch to learn its
             # fate.
             for request in shed:
-                self.on_shed(request)
+                self.on_shed(request, "slo")
             if batch is None:
                 return None
             if batch:

@@ -1,8 +1,9 @@
 """Batched inference engine: micro-batching over the engine's own
 dispatch threads.
 
-The serving layer the ROADMAP's "heavy traffic" north star asks for,
-built on the compiled-plan runtime:
+The in-process backend of the serving front end
+(:mod:`repro.serving.frontend` owns admission, shedding, completion and
+telemetry), built on the compiled-plan runtime:
 
 * a :class:`repro.serving.batcher.BatchQueue` coalesces concurrent
   single-sample requests along the leading batch axis (Fig. 4's batch
@@ -29,8 +30,8 @@ from __future__ import annotations
 
 import logging
 import threading
-from concurrent.futures import Future
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+import time
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -38,84 +39,15 @@ from ..ir.graph import Graph
 from ..runtime.arena import ArenaStats
 from ..runtime.executor import Executor
 from ..runtime.plan import ExecutionPlan, compile_plan
-from ..telemetry import collectors as _telemetry
-from ..telemetry.tracing import RequestTrace, Tracer
-from .batcher import (
-    BatchQueue,
-    InferenceRequest,
-    QueueClosedError,
-    RequestShedError,
-)
+from ..telemetry.tracing import Tracer
+from .batcher import InferenceRequest
+from .frontend import Frontend, ShedPolicy
 from .latency_model import BatchLatencyModel, model_path
-from .metrics import MetricsRecorder, MetricsSnapshot
-
-import time
-
-from dataclasses import dataclass
 
 logger = logging.getLogger("repro.serving")
 
 
-class EngineClosedError(RuntimeError):
-    """Raised when submitting to an engine that has been shut down."""
-
-
-@dataclass(frozen=True)
-class ShedPolicy:
-    """When and what the engine sheds instead of queueing.
-
-    ``queue_limit`` bounds the batch queue: an arrival past it evicts
-    the youngest lowest-priority queued request if the arrival outranks
-    it, else the arrival itself is shed (both with
-    :class:`RequestShedError`).  ``miss_rate_threshold`` arms a
-    windowed circuit breaker: once the recorder's miss rate (failures +
-    sheds + deadline misses over recent requests) reaches it, arriving
-    requests with ``priority <= shed_priority`` are shed at admission —
-    the lowest classes brown out first while higher classes keep their
-    SLO.  The breaker only arms after ``min_events`` requests so a cold
-    engine is never judged on two data points.
-    """
-
-    queue_limit: Optional[int] = None
-    miss_rate_threshold: Optional[float] = None
-    shed_priority: int = 0
-    min_events: int = 32
-
-
-def check_sample(input_specs: Mapping[str, "object"],
-                 feeds: Mapping[str, np.ndarray]
-                 ) -> Dict[str, np.ndarray]:
-    """Validate one single-sample feed dict against ``input_specs``
-    (name -> :class:`repro.ir.tensor.TensorSpec`) and return arrays the
-    serving pipeline *owns*.
-
-    ``astype(..., copy=False)`` aliases the caller's buffer whenever no
-    dtype conversion is needed, so a caller mutating its array after
-    ``infer()`` returns would corrupt the in-flight batch; any feed that
-    still shares memory with the caller's array is copied here.
-    """
-    sample: Dict[str, np.ndarray] = {}
-    for name, spec in input_specs.items():
-        if name not in feeds:
-            raise ValueError(f"missing feed for graph input {name!r}")
-        raw = feeds[name]
-        value = np.asarray(raw)
-        if tuple(value.shape) != spec.shape:
-            raise ValueError(
-                f"feed {name!r} has shape {value.shape}, expected the "
-                f"single-sample shape {spec.shape}")
-        converted = value.astype(spec.dtype.to_numpy(), copy=False)
-        if isinstance(raw, np.ndarray) and \
-                np.shares_memory(converted, raw):
-            converted = converted.copy()
-        sample[name] = converted
-    extra = set(feeds) - set(sample)
-    if extra:
-        raise ValueError(f"unknown feed tensors: {sorted(extra)}")
-    return sample
-
-
-class InferenceEngine:
+class InferenceEngine(Frontend):
     """Serves single-sample requests through dynamically formed batches.
 
     Parameters
@@ -136,7 +68,8 @@ class InferenceEngine:
         Optional :class:`repro.runtime.plan_cache.PlanCache`: per-batch
         plan builds go through :func:`load_or_build`, so a restarted
         engine warm-starts from disk instead of respecializing.  Hit and
-        miss counts surface in :meth:`metrics`.
+        miss counts surface in :meth:`metrics`.  An adaptive engine
+        persists its latency model next to the plan entry.
     aot_config
         :class:`repro.optim.passes.AOTConfig` for cache-backed builds
         (bitwise-safe defaults when None).
@@ -144,43 +77,15 @@ class InferenceEngine:
         Pre-populate each executor's arena from the plan's activation
         shapes (first run allocation-free, not just steady state).
     tracer
-        Optional :class:`repro.telemetry.tracing.Tracer`.  Requests the
-        tracer samples carry a :class:`RequestTrace` through the whole
-        pipeline (queue wait, dispatch wait, batch assembly, execute
-        with per-step kernel spans, finalize); finished traces land in
-        the tracer's ring buffer for Chrome-trace export.  ``None`` (the
+        Sampled requests carry a :class:`RequestTrace` through the
+        whole pipeline (queue wait, dispatch wait, batch assembly,
+        execute with per-step kernel spans, finalize).  ``None`` (the
         default) disables tracing: the hot path pays one branch.
-    slow_request_ms
-        When set, any request whose end-to-end latency is at or above
-        this many milliseconds is logged on the ``repro.serving`` logger
-        (with its phase decomposition when traced) and counted in
-        ``repro_serving_slow_requests_total``.
-    adaptive
-        Enable SLO-aware adaptive batching: the engine fits an online
-        :class:`repro.serving.latency_model.BatchLatencyModel` from its
-        own execute timings and the queue assembles the largest batch
-        whose predicted completion still meets the tightest in-queue
-        deadline (falling back to the fixed knobs while the model is
-        cold).  Requests whose deadline is predicted unmeetable even at
-        batch 1 are shed with :class:`RequestShedError`.  With a
-        ``plan_cache`` attached the model is persisted next to the plan
-        entry, so a restarted engine starts calibrated.
-    default_slo_ms
-        Deadline assigned to requests that do not pass ``slo_ms``
-        explicitly (None: such requests are best-effort and never miss).
-    shed_policy
-        A :class:`ShedPolicy` arming queue-bound eviction and the
-        windowed miss-rate admission breaker.
-    latency_model
-        Inject a pre-built/shared :class:`BatchLatencyModel` (tests,
-        cross-engine calibration); default builds or loads one when
-        ``adaptive`` is set.
-    headroom_ms
-        Scheduling slack the adaptive assembly reserves on every
-        deadline comparison (dispatch/finalize overhead the execute
-        cost model does not see).  Raise it to trade goodput for a
-        tighter admitted-request tail; a useful rule of thumb is
-        10-20% of the SLO.
+    slow_request_ms / adaptive / default_slo_ms / shed_policy /
+    latency_model / headroom_ms
+        The front-end options of :class:`repro.serving.frontend.Frontend`.
+        The adaptive engine fits its latency model from task-start-to-
+        results timings (assembly + execute + finalize).
     """
 
     def __init__(self, graph: Graph, workers: int = 1, max_batch: int = 8,
@@ -197,54 +102,25 @@ class InferenceEngine:
                  headroom_ms: float = 0.5) -> None:
         if workers < 1:
             raise ValueError("workers must be >= 1")
-        self.template = graph.with_batch(1)
+        template = graph.with_batch(1)
         self.workers = int(workers)
-        self.max_batch = int(max_batch)
         self.reuse_buffers = reuse_buffers
         self.plan_cache = plan_cache
         self.aot_config = aot_config
         self.prewarm = bool(prewarm)
         self._cache_hits = 0
         self._cache_misses = 0
-        self._input_specs = {spec.name: spec for spec in self.template.inputs}
-        self.adaptive = bool(adaptive)
-        self.default_slo_ms = (float(default_slo_ms)
-                               if default_slo_ms is not None else None)
-        self.shed_policy = shed_policy
-        self.latency_model = latency_model
-        self._latency_model_path = None
-        if self.adaptive and self.latency_model is None:
-            if plan_cache is not None:
-                # Warm starts begin calibrated: the model is keyed and
-                # stored alongside the plan-cache entry it timed.
-                key = plan_cache.key_for(self.template, aot_config)
-                self._latency_model_path = model_path(
-                    plan_cache.directory, key)
-                self.latency_model = BatchLatencyModel.load(
-                    self._latency_model_path)
-            if self.latency_model is None:
-                self.latency_model = BatchLatencyModel()
-        needs_shed = self.adaptive or (
-            shed_policy is not None and (
-                shed_policy.queue_limit is not None
-                or shed_policy.miss_rate_threshold is not None))
-        self.queue = BatchQueue(
-            max_batch=max_batch,
-            max_latency_s=max_latency_ms / 1e3,
-            cost_model=(self.latency_model.predict
-                        if self.adaptive else None),
-            on_shed=self._shed_request if needs_shed else None,
-            queue_limit=(shed_policy.queue_limit
-                         if shed_policy is not None else None),
-            headroom_s=headroom_ms / 1e3)
-        self.recorder = MetricsRecorder()
-        self.tracer = tracer if tracer is not None and tracer.enabled \
-            else None
-        self.slow_request_ms = (float(slow_request_ms)
-                                if slow_request_ms is not None else None)
-        self.slow_requests = 0
-        self._slow_lock = threading.Lock()
-        self._closed = False
+        # Warm starts begin calibrated: the model is keyed and stored
+        # alongside the plan-cache entry it timed.
+        path = model_path(plan_cache.directory,
+                          plan_cache.key_for(template, aot_config)) \
+            if adaptive and plan_cache is not None else None
+        super().__init__(
+            template, max_batch=max_batch, max_latency_ms=max_latency_ms,
+            tracer=tracer, slow_request_ms=slow_request_ms,
+            adaptive=adaptive, default_slo_ms=default_slo_ms,
+            shed_policy=shed_policy, latency_model=latency_model,
+            headroom_ms=headroom_ms, latency_model_path=path)
         # Compiled base plans shared across executors, keyed by batch
         # size.
         self._compile_lock = threading.Lock()
@@ -265,75 +141,13 @@ class InferenceEngine:
             for index in range(self.workers)]
         for thread in self._dispatchers:
             thread.start()
-        # Serving series (requests, failures, queue depth, windowed
-        # percentiles) surface in the process-wide metrics registry via
-        # a scrape-time collector over live engines.
-        _telemetry.track_engine(self)
 
-    # -- public API ----------------------------------------------------------
+    # -- front-end hooks -----------------------------------------------------
 
-    def infer(self, feeds: Mapping[str, np.ndarray],
-              slo_ms: Optional[float] = None,
-              priority: int = 0) -> "Future":
-        """Submit one sample (leading batch axis 1); returns a Future
-        resolving to a dict of output name -> array.
+    def _join_dispatchers(self, deadline: Optional[float]) -> None:
+        self._join(self._dispatchers, deadline)
 
-        ``slo_ms`` attaches a completion deadline this many ms from now
-        (default: the engine's ``default_slo_ms``); the adaptive batcher
-        sizes batches so predicted completion meets the tightest queued
-        deadline, and sheds requests it predicts will miss anyway.
-        ``priority`` orders service and shedding (higher serves first,
-        sheds last).  The future may fail with
-        :class:`RequestShedError` when the request is shed.
-        """
-        if self._closed:
-            raise EngineClosedError("engine is closed")
-        request = InferenceRequest(feeds=self._check_sample(feeds),
-                                   priority=int(priority))
-        if slo_ms is None:
-            slo_ms = self.default_slo_ms
-        if slo_ms is not None:
-            request.deadline_s = request.enqueued_at + slo_ms / 1e3
-        policy = self.shed_policy
-        if policy is not None and \
-                policy.miss_rate_threshold is not None and \
-                request.priority <= policy.shed_priority and \
-                self.recorder.window_events() >= policy.min_events and \
-                self.recorder.miss_rate() >= policy.miss_rate_threshold:
-            # The breaker is open: fail fast with the typed shed error
-            # instead of queueing work the window says will go bad.
-            self._shed_request(request)
-            return request.future
-        if self.tracer is not None and self.tracer.sample():
-            trace = RequestTrace(self.template.name or "request")
-            trace.mark("enqueued")
-            request.trace = trace
-        try:
-            self.queue.submit(request)
-        except QueueClosedError:
-            # close() won the race between our _closed check and the
-            # queue submit; surface the same typed error as the check.
-            raise EngineClosedError("engine is closed") from None
-        return request.future
-
-    def infer_sync(self, feeds: Mapping[str, np.ndarray],
-                   timeout: Optional[float] = None,
-                   slo_ms: Optional[float] = None,
-                   priority: int = 0) -> Dict[str, np.ndarray]:
-        return self.infer(feeds, slo_ms=slo_ms,
-                          priority=priority).result(timeout=timeout)
-
-    def infer_many(self, samples: Sequence[Mapping[str, np.ndarray]],
-                   timeout: Optional[float] = None,
-                   slo_ms: Optional[float] = None,
-                   priority: int = 0) -> List[Dict[str, np.ndarray]]:
-        """Submit a burst of samples and wait for all results in order."""
-        futures = [self.infer(sample, slo_ms=slo_ms, priority=priority)
-                   for sample in samples]
-        return [future.result(timeout=timeout) for future in futures]
-
-    def metrics(self) -> MetricsSnapshot:
-        """A consistent snapshot of throughput/latency/batching/arena."""
+    def _snapshot_detail(self) -> Dict[str, object]:
         arena_stats = ArenaStats()
         workspace_allocations = 0
         with self._pool_lock:
@@ -350,93 +164,12 @@ class InferenceEngine:
                 workspace_allocations += executor.plan.workspace.allocations
         with self._compile_lock:
             cache_hits, cache_misses = self._cache_hits, self._cache_misses
-        return self.recorder.snapshot(
-            queue_depth=self.queue.depth(),
-            arena_stats=arena_stats,
-            workspace_allocations=workspace_allocations,
-            plan_cache_hits=cache_hits,
-            plan_cache_misses=cache_misses)
+        return {"arena_stats": arena_stats,
+                "workspace_allocations": workspace_allocations,
+                "plan_cache_hits": cache_hits,
+                "plan_cache_misses": cache_misses}
 
-    def close(self, timeout: Optional[float] = None) -> None:
-        """Stop accepting work, wait for the dispatch threads to finish
-        their in-flight batches, and fail whatever is still queued.
-
-        ``timeout`` bounds the whole wait; requests still queued when it
-        expires fail with :class:`EngineClosedError`."""
-        if self._closed:
-            return
-        self._closed = True
-        self.queue.close()
-        deadline = (time.monotonic() + timeout
-                    if timeout is not None else None)
-        current = threading.current_thread()
-        for thread in self._dispatchers:
-            if thread is current:
-                continue               # close() from a result callback
-            thread.join(timeout=None if deadline is None
-                        else max(0.0, deadline - time.monotonic()))
-        drained = self.queue.drain()
-        if drained:
-            # Requests failed at shutdown are failures like any other:
-            # without this, ``failures``/``failure_rate`` under-report
-            # every request the close drained.
-            self._fail_batch(
-                drained, EngineClosedError("engine closed before "
-                                           "execution"))
-        if self._latency_model_path is not None and \
-                self.latency_model is not None and \
-                self.latency_model.observations > 0:
-            # Persist the calibration next to the plan-cache entry so
-            # the next engine on this model starts warm.
-            try:
-                self.latency_model.save(self._latency_model_path)
-            except OSError as exc:
-                logger.warning("could not persist latency model to %s: "
-                               "%s", self._latency_model_path, exc)
-
-    def __enter__(self) -> "InferenceEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    # -- internals -----------------------------------------------------------
-
-    def _check_sample(self, feeds: Mapping[str, np.ndarray]
-                      ) -> Dict[str, np.ndarray]:
-        return check_sample(self._input_specs, feeds)
-
-    def _shed_request(self, request: InferenceRequest) -> None:
-        """Fail one request with the typed shed error and record it."""
-        self.recorder.record_shed(1)
-        if not request.future.done():
-            deadline_note = ""
-            if request.deadline_s is not None:
-                remaining_ms = (request.deadline_s
-                                - time.monotonic()) * 1e3
-                deadline_note = (f" ({remaining_ms:.1f} ms of SLO "
-                                 f"budget left)")
-            request.future.set_exception(RequestShedError(
-                f"request shed by SLO-aware admission control"
-                f"{deadline_note}; retry with backoff or lower load"))
-        if request.trace is not None:
-            self._finish_traces([request.trace], failed=True)
-
-    def _fail_batch(self, requests: List[InferenceRequest],
-                    exc: BaseException, traces: Sequence = ()) -> None:
-        """Record and propagate a whole batch's failure.
-
-        Failure latencies join the same percentile window as successes,
-        so p99 reflects the worst outcomes.
-        """
-        failed_at = time.monotonic()
-        self.recorder.record_failure(
-            len(requests), [failed_at - request.enqueued_at
-                            for request in requests])
-        for request in requests:
-            if not request.future.done():
-                request.future.set_exception(exc)
-        self._finish_traces(list(traces), failed=True)
+    # -- plans and executors -------------------------------------------------
 
     def _base_plan(self, batch: int) -> Tuple[Graph, ExecutionPlan]:
         with self._compile_lock:
@@ -474,22 +207,19 @@ class InferenceEngine:
         with self._pool_lock:
             self._free.setdefault(batch, []).append(executor)
 
+    # -- dispatch ------------------------------------------------------------
+
     def _dispatch_loop(self) -> None:
         while True:
             with self._assembly_lock:
-                batch = self.queue.next_batch()
+                batch = self._next_batch()
             if batch is None:
                 return
-            if self.tracer is not None:
-                for request in batch:
-                    if request.trace is not None:
-                        request.trace.mark("dequeued")
             try:
                 self._run_batch(batch)
             except Exception:
-                # _run_batch fails its own futures; whatever still
-                # escapes (a future the client cancelled) must not take
-                # a dispatch thread down with it.
+                # _run_batch resolves its own futures; whatever still
+                # escapes must not take a dispatch thread down with it.
                 logger.exception("dispatch thread: batch finalization "
                                  "failed")
 
@@ -509,8 +239,7 @@ class InferenceEngine:
             # hand: the first batch of a size compiles its plan inside
             # _checkout, and an observation carrying compile time would
             # predict every deadline unmeetable and shed everything.
-            task_t0 = time.perf_counter() \
-                if self.latency_model is not None else 0.0
+            task_t0 = time.perf_counter()
             try:
                 if size == 1:
                     feeds = requests[0].feeds
@@ -548,58 +277,6 @@ class InferenceEngine:
             finally:
                 self._checkin(size, executor)
         except BaseException as exc:
-            self._fail_batch(requests, exc, traces=traces)
+            self._fail(requests, exc)
             return
-        if self.latency_model is not None:
-            # The model predicts task-start-to-results time (assembly +
-            # execute + finalize): exactly the interval the assembly
-            # policy adds to "now" when it asks whether a batch of n
-            # makes a deadline.
-            self.latency_model.observe(
-                size, time.perf_counter() - task_t0)
-        completed = time.monotonic()
-        latencies = [completed - request.enqueued_at
-                     for request in requests]
-        slo_misses = sum(
-            1 for request in requests
-            if request.deadline_s is not None
-            and completed > request.deadline_s)
-        self.recorder.record_batch(size, latencies,
-                                   slo_misses=slo_misses)
-        for request, result in zip(requests, results):
-            request.future.set_result(result)
-        for trace in traces:
-            trace.mark("completed")
-        self._finish_traces(traces, failed=False)
-        if self.slow_request_ms is not None:
-            self._log_slow(requests, latencies)
-
-    def _finish_traces(self, traces, failed: bool) -> None:
-        if not traces or self.tracer is None:
-            return
-        for trace in traces:
-            if failed:
-                trace.mark("completed")
-            self.tracer.finish(trace)
-
-    def _log_slow(self, requests: List[InferenceRequest],
-                  latencies: List[float]) -> None:
-        threshold_s = self.slow_request_ms / 1e3
-        for request, latency in zip(requests, latencies):
-            if latency < threshold_s:
-                continue
-            with self._slow_lock:
-                self.slow_requests += 1
-            if request.trace is not None:
-                phases = request.trace.phase_durations_ms()
-                detail = ", ".join(f"{name} {value:.2f} ms"
-                                   for name, value in phases.items())
-                logger.warning(
-                    "slow request (trace %d): %.2f ms >= %.2f ms (%s)",
-                    request.trace.trace_id, latency * 1e3,
-                    self.slow_request_ms, detail)
-            else:
-                logger.warning(
-                    "slow request: %.2f ms >= %.2f ms "
-                    "(enable tracing for a phase breakdown)",
-                    latency * 1e3, self.slow_request_ms)
+        self._complete(requests, results, time.perf_counter() - task_t0)

@@ -25,14 +25,15 @@ Architecture
   resident copy of the weights — the cache's flat-blob layout was built
   for exactly this.
 
-* **Front-end routing with admission control and backpressure.**  The
-  parent keeps the existing :class:`~repro.serving.batcher.BatchQueue`
-  micro-batching; the dispatcher routes each assembled batch to the
-  least-loaded live replica, bounded by ``max_inflight`` outstanding
-  batches per replica.  When every replica is saturated the dispatcher
-  blocks (backpressure into the queue), and once the queue itself holds
-  ``queue_limit`` requests, new submissions are *shed* with a typed
-  :class:`TierSaturatedError` instead of growing an unbounded backlog.
+* **Front-end routing with backpressure.**  Admission, micro-batching,
+  shedding and completion are the shared
+  :class:`~repro.serving.frontend.Frontend`; the tier's dispatcher
+  routes each assembled batch to the least-loaded live replica, bounded
+  by ``max_inflight`` outstanding batches per replica.  When every
+  replica is saturated the dispatcher blocks (backpressure into the
+  queue), and the queue's bound (by default ``4 * replicas *
+  max_inflight * max_batch``) sheds instead of growing an unbounded
+  backlog.
 
 * **Lifecycle.**  Replicas are spawned (``spawn`` start method: safe
   with the parent's threads), health-checked via a READY handshake, and
@@ -80,16 +81,16 @@ Architecture
   Untraced batches carry zero extra bytes and the replica takes the
   exact pre-existing path.
 
-* **Flight recorder.**  The tier feeds the always-on bounded event ring
-  (:mod:`repro.telemetry.flightrec`): admissions, sheds, batch
-  compositions, slot waits, SLO misses, generation retirements,
-  restarts, breaker trips.  The ring auto-dumps (versioned JSON +
-  Chrome trace) on a replica crash-restart or a breaker-open
-  transition, so the moments before an incident are always on disk.
+* **Flight recorder.**  Next to the front end's admissions, sheds,
+  SLO misses and breaker trips, the tier records batch compositions,
+  slot waits, generation retirements and restarts into the always-on
+  event ring (:mod:`repro.telemetry.flightrec`), and auto-dumps it on a
+  replica crash-restart, so the moments before an incident are always
+  on disk.
 
-The front-end mirrors :class:`repro.serving.engine.InferenceEngine`'s
-surface (``infer`` / ``infer_sync`` / ``infer_many`` / ``metrics`` /
-``close``), so serve-bench and client code treat both tiers uniformly.
+The public surface (``infer`` / ``infer_sync`` / ``infer_many`` /
+``metrics`` / ``close``) is the front end's, identical to
+:class:`repro.serving.engine.InferenceEngine`'s.
 """
 
 from __future__ import annotations
@@ -114,18 +115,12 @@ from ..telemetry.clock import (
     DEFAULT_RESYNC_S,
     ClockSync,
 )
-from ..telemetry.flightrec import FlightRecorder, get_flight_recorder
+from ..telemetry.flightrec import FlightRecorder
 from ..telemetry.registry import get_registry, log_buckets
 from ..telemetry.tracing import RequestTrace, Span, Tracer
-from .batcher import (
-    BatchQueue,
-    InferenceRequest,
-    QueueClosedError,
-    RequestShedError,
-)
-from .engine import EngineClosedError, ShedPolicy, check_sample
+from .batcher import InferenceRequest, RequestShedError
+from .frontend import Frontend, ShedPolicy
 from .latency_model import BatchLatencyModel, model_path
-from .metrics import MetricsRecorder, MetricsSnapshot
 from .shm import (
     ShmAttachment,
     ShmChannel,
@@ -142,13 +137,10 @@ from .shm import (
 logger = logging.getLogger("repro.serving")
 
 
-class TierSaturatedError(RuntimeError):
-    """Raised when the tier sheds a request because its queue is full.
-
-    The typed signal of the admission controller: the caller can retry
-    with backoff, divert to another tier, or degrade — anything but
-    silently growing an unbounded backlog.
-    """
+# The tier's former queue-full error: every shed, on either backend, is
+# now a RequestShedError on the request's future.  Kept importable for
+# callers that catch it by this name.
+TierSaturatedError = RequestShedError
 
 
 class ReplicaError(RuntimeError):
@@ -716,7 +708,7 @@ _BLAS_ENV_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                   "MKL_NUM_THREADS")
 
 
-class ReplicaEngine:
+class ReplicaEngine(Frontend):
     """Routes micro-batched requests across N executor processes.
 
     Parameters
@@ -733,10 +725,6 @@ class ReplicaEngine:
         next waits in the replica's pipe (pipelining), and the
         dispatcher blocks once every live replica is at the bound
         (backpressure).
-    queue_limit
-        Admission bound on the front-end queue; submissions past it are
-        shed with :class:`TierSaturatedError`.  Defaults to
-        ``4 * replicas * max_inflight * max_batch``.
     cache_dir
         Plan-cache directory shared with the replicas (default: the
         process-wide cache).  The tier pre-warms an entry per batch
@@ -769,30 +757,19 @@ class ReplicaEngine:
         graph's input/output specs at ``max_batch``, with one slot pair
         per ``max_inflight`` batch; oversized frames fall back to the
         pipe codec per-request (counted in ``shm_fallbacks``).
-    adaptive
-        Enable SLO-aware assembly on the tier's *front-end* queue: a
-        tier-level :class:`BatchLatencyModel` is fitted from
-        dispatch-to-completion timings and the queue forms the largest
-        batch predicted to meet the tightest queued deadline, shedding
-        requests that cannot make their SLO even alone — *before* they
-        cross the data plane.  The model persists next to the plan
-        cache (``<key>-tier``), so a restarted tier starts calibrated.
-    default_slo_ms / shed_policy / latency_model / headroom_ms
-        Exactly as on :class:`repro.serving.engine.InferenceEngine`:
-        the default request deadline, the queue-bound/miss-rate
-        :class:`ShedPolicy`, an injected shared model, and the
-        scheduling slack the assembly reserves per comparison.
     tracer
         Optional :class:`repro.telemetry.Tracer`; sampled requests
         carry a :class:`TierRequestTrace` across the data plane, and
         finished traces include the replica's clock-aligned per-step
         spans (see the module docstring).  ``None`` (the default) keeps
         every frame byte-identical to the untraced wire format.
-    slow_request_ms
-        Log a warning (with the tier-phase breakdown when the request
-        was traced) for any request completing slower than this many
-        milliseconds; mirrors the in-process engine's slow-request log
-        and feeds ``slow_requests``.
+    slow_request_ms / adaptive / default_slo_ms / shed_policy /
+    latency_model / headroom_ms
+        The front-end options of :class:`repro.serving.frontend.Frontend`.
+        The tier's latency model is fitted from dispatch-to-completion
+        timings and persists next to the plan cache (``<key>-tier``).
+        The queue bound defaults to ``4 * replicas * max_inflight *
+        max_batch`` when ``shed_policy`` sets none.
     flight_recorder
         The event ring the tier records into (default: the process-wide
         recorder).  Auto-dumped on crash-restart and breaker trips.
@@ -801,10 +778,12 @@ class ReplicaEngine:
         clock-offset estimate with an in-band probe (default 30).
     """
 
+    _trace_class = TierRequestTrace
+    _name = "replica tier"
+
     def __init__(self, graph: Graph, replicas: int = 2, max_batch: int = 8,
                  max_latency_ms: float = 2.0,
                  max_inflight: int = 2,
-                 queue_limit: Optional[int] = None,
                  cache_dir=None, aot_config=None,
                  reuse_buffers: bool = True,
                  blas_threads: Optional[int] = 1,
@@ -825,43 +804,53 @@ class ReplicaEngine:
             raise ValueError("replicas must be >= 1")
         if max_inflight < 1:
             raise ValueError("max_inflight must be >= 1")
-        self.template = graph.with_batch(1)
+        template = graph.with_batch(1)
         self.replicas = int(replicas)
-        self.max_batch = int(max_batch)
         self.max_inflight = int(max_inflight)
-        self.queue_limit = int(queue_limit) if queue_limit is not None \
-            else 4 * self.replicas * self.max_inflight * self.max_batch
-        if self.queue_limit < 1:
-            raise ValueError("queue_limit must be >= 1")
         self.restart_limit = int(restart_limit)
         self.ready_timeout_s = float(ready_timeout_s)
         self.blas_threads = blas_threads
         self._ctx = multiprocessing.get_context(start_method)
-        self._input_specs = {spec.name: spec
-                             for spec in self.template.inputs}
-        self.recorder = MetricsRecorder()
         self._cond = threading.Condition()
-        self._closed = False
         self._next_id = 1
         self._restarts = 0
-        self._shed = 0
-        # Test seam: clearing the gate holds the dispatcher between
-        # batches, making queue-drain/shed behaviour deterministic.
-        self._dispatch_gate = threading.Event()
-        self._dispatch_gate.set()
-
-        # -- observability -----------------------------------------------
-        self.tracer = tracer
-        self.slow_request_ms = (float(slow_request_ms)
-                                if slow_request_ms is not None else None)
-        self.slow_requests = 0
-        self.flightrec = flight_recorder if flight_recorder is not None \
-            else get_flight_recorder()
         self.clock_resync_s = float(clock_resync_s)
-        # Breaker-open edge detection: the flight recorder dumps once
-        # per trip, not once per shed request while the breaker stays
-        # open.
-        self._breaker_open = False
+
+        # Pre-warm one plan-cache entry per batch size the queue can
+        # form; replicas load these by key (mmap, zero-copy).
+        self.cache_dir = str(cache_dir) if cache_dir is not None \
+            else str(default_cache_dir())
+        cache = PlanCache(self.cache_dir)
+        self._cache_hits = 0
+        self._cache_misses = 0
+        keys: Dict[int, str] = {}
+        for batch in range(1, int(max_batch) + 1):
+            model = load_or_build(template.with_batch(batch),
+                                  aot_config, cache)
+            if model.from_cache:
+                self._cache_hits += 1
+            else:
+                self._cache_misses += 1
+            keys[batch] = model.key
+        # The latency model is keyed off the batch-1 plan entry,
+        # suffixed so the tier's dispatch-to-completion timings never
+        # mix with the in-process engine's model for the same plan.
+        super().__init__(
+            template, max_batch=max_batch, max_latency_ms=max_latency_ms,
+            tracer=tracer, slow_request_ms=slow_request_ms,
+            adaptive=adaptive, default_slo_ms=default_slo_ms,
+            shed_policy=shed_policy, latency_model=latency_model,
+            headroom_ms=headroom_ms,
+            latency_model_path=model_path(self.cache_dir,
+                                          keys[1] + "-tier"),
+            queue_limit=4 * self.replicas * self.max_inflight
+            * int(max_batch),
+            flight_recorder=flight_recorder)
+        self._spec_template = ReplicaSpec(
+            index=-1, cache_dir=self.cache_dir, keys=keys,
+            reuse_buffers=bool(reuse_buffers),
+            prewarm_batches=(1, self.max_batch) if self.max_batch > 1
+            else (1,))
 
         # -- shared-memory data plane ------------------------------------
         if shm is None:
@@ -888,59 +877,6 @@ class ReplicaEngine:
                 "shared-memory slot pair",
                 buckets=log_buckets(1e-5, 4.0, 12))
 
-        # Pre-warm one plan-cache entry per batch size the queue can
-        # form; replicas load these by key (mmap, zero-copy).
-        self.cache_dir = str(cache_dir) if cache_dir is not None \
-            else str(default_cache_dir())
-        cache = PlanCache(self.cache_dir)
-        self._cache_hits = 0
-        self._cache_misses = 0
-        keys: Dict[int, str] = {}
-        for batch in range(1, self.max_batch + 1):
-            model = load_or_build(self.template.with_batch(batch),
-                                  aot_config, cache)
-            if model.from_cache:
-                self._cache_hits += 1
-            else:
-                self._cache_misses += 1
-            keys[batch] = model.key
-        self._spec_template = ReplicaSpec(
-            index=-1, cache_dir=self.cache_dir, keys=keys,
-            reuse_buffers=bool(reuse_buffers),
-            prewarm_batches=(1, self.max_batch) if self.max_batch > 1
-            else (1,))
-
-        # -- SLO-aware front-end assembly --------------------------------
-        self.adaptive = bool(adaptive)
-        self.default_slo_ms = (float(default_slo_ms)
-                               if default_slo_ms is not None else None)
-        self.shed_policy = shed_policy
-        self.latency_model = latency_model
-        self._latency_model_path = None
-        if self.adaptive and self.latency_model is None:
-            # Keyed off the batch-1 plan entry, suffixed so the tier's
-            # dispatch-to-completion timings never mix with the
-            # in-process engine's execute-only model for the same plan.
-            self._latency_model_path = model_path(
-                self.cache_dir, keys[1] + "-tier")
-            self.latency_model = BatchLatencyModel.load(
-                self._latency_model_path)
-            if self.latency_model is None:
-                self.latency_model = BatchLatencyModel()
-        needs_shed = self.adaptive or (
-            shed_policy is not None and (
-                shed_policy.queue_limit is not None
-                or shed_policy.miss_rate_threshold is not None))
-        self.queue = BatchQueue(
-            max_batch=max_batch,
-            max_latency_s=max_latency_ms / 1e3,
-            cost_model=(self.latency_model.predict
-                        if self.adaptive else None),
-            on_shed=self._shed_request if needs_shed else None,
-            queue_limit=(shed_policy.queue_limit
-                         if shed_policy is not None else None),
-            headroom_s=headroom_ms / 1e3)
-
         self._replicas: List[_Replica] = []
         self._receivers: List[threading.Thread] = []
         try:
@@ -964,98 +900,6 @@ class ReplicaEngine:
         _telemetry.track_replica_tier(self)
 
     # -- public API ----------------------------------------------------------
-
-    def infer(self, feeds: Mapping[str, np.ndarray],
-              slo_ms: Optional[float] = None, priority: int = 0):
-        """Submit one sample; returns a Future resolving to the output
-        dict.  Raises :class:`TierSaturatedError` when the admission
-        queue is full and :class:`EngineClosedError` after close.
-
-        ``slo_ms``/``priority`` mirror the in-process engine's SLO API:
-        the deadline (default: ``default_slo_ms``) feeds the tier's
-        SLO-miss and goodput accounting, and priority orders the
-        admission queue (higher classes dispatch to replicas first,
-        FIFO within a class).  With ``adaptive`` set, the front-end
-        queue sizes batches to the tightest queued deadline and sheds
-        requests predicted to miss even alone — their futures fail with
-        :class:`RequestShedError` before any payload crosses the data
-        plane.
-        """
-        if self._closed:
-            raise EngineClosedError("replica tier is closed")
-        sample = check_sample(self._input_specs, feeds)
-        if self.queue.depth() >= self.queue_limit:
-            with self._cond:
-                self._shed += 1
-            self.recorder.record_shed(1)
-            self.flightrec.record("shed", reason="queue_full",
-                                  priority=int(priority))
-            raise TierSaturatedError(
-                f"replica tier saturated: {self.queue_limit} requests "
-                f"queued; request shed")
-        request = InferenceRequest(feeds=sample, priority=int(priority))
-        if slo_ms is None:
-            slo_ms = self.default_slo_ms
-        if slo_ms is not None:
-            request.deadline_s = request.enqueued_at + slo_ms / 1e3
-        policy = self.shed_policy
-        if policy is not None and \
-                policy.miss_rate_threshold is not None and \
-                request.priority <= policy.shed_priority and \
-                self.recorder.window_events() >= policy.min_events and \
-                self.recorder.miss_rate() >= policy.miss_rate_threshold:
-            # The windowed breaker is open: fail fast with the typed
-            # shed error instead of queueing work the window says will
-            # go bad.
-            with self._cond:
-                tripped = not self._breaker_open
-                self._breaker_open = True
-            if tripped:
-                self.flightrec.record(
-                    "breaker_trip",
-                    miss_rate=self.recorder.miss_rate(),
-                    threshold=policy.miss_rate_threshold)
-                self.flightrec.try_dump("breaker-trip")
-            self._shed_request(request)
-            return request.future
-        if self._breaker_open:
-            with self._cond:
-                self._breaker_open = False
-        tracer = self.tracer
-        if tracer is not None and tracer.sample():
-            trace = TierRequestTrace()
-            trace.mark("enqueued")
-            request.trace = trace
-        self.flightrec.record("admit", priority=request.priority,
-                              slo_ms=slo_ms)
-        try:
-            self.queue.submit(request)
-        except QueueClosedError:
-            raise EngineClosedError("replica tier is closed") from None
-        return request.future
-
-    def infer_sync(self, feeds: Mapping[str, np.ndarray],
-                   timeout: Optional[float] = None,
-                   slo_ms: Optional[float] = None, priority: int = 0
-                   ) -> Dict[str, np.ndarray]:
-        return self.infer(feeds, slo_ms=slo_ms,
-                          priority=priority).result(timeout=timeout)
-
-    def infer_many(self, samples: Sequence[Mapping[str, np.ndarray]],
-                   timeout: Optional[float] = None,
-                   slo_ms: Optional[float] = None, priority: int = 0
-                   ) -> List[Dict[str, np.ndarray]]:
-        futures = [self.infer(sample, slo_ms=slo_ms, priority=priority)
-                   for sample in samples]
-        return [future.result(timeout=timeout) for future in futures]
-
-    def metrics(self) -> MetricsSnapshot:
-        """Front-end serving snapshot (same shape as the in-process
-        engine's); per-replica detail lives in :meth:`replica_stats`."""
-        return self.recorder.snapshot(
-            queue_depth=self.queue.depth(),
-            plan_cache_hits=self._cache_hits,
-            plan_cache_misses=self._cache_misses)
 
     def replica_stats(self) -> List[ReplicaStats]:
         """Per-replica health and counters (parent + piggybacked)."""
@@ -1082,11 +926,6 @@ class ReplicaEngine:
     def restarts(self) -> int:
         with self._cond:
             return self._restarts
-
-    @property
-    def shed_requests(self) -> int:
-        with self._cond:
-            return self._shed
 
     @property
     def shm_requests(self) -> int:
@@ -1118,23 +957,19 @@ class ReplicaEngine:
                     names.extend(channel.segment_names())
             return names
 
-    def close(self, timeout: Optional[float] = None) -> None:
-        """Stop admissions, fail whatever is still queued, wait for
-        in-flight batches, and shut the replica processes down."""
-        with self._cond:
-            if self._closed:
-                return
-            self._closed = True
-        self.queue.close()
-        self._dispatch_gate.set()
-        self._dispatcher.join(timeout=timeout)
-        drained = self.queue.drain()
-        if drained:
-            self._fail_requests(
-                drained,
-                EngineClosedError("replica tier closed before execution"))
-        deadline = None if timeout is None \
-            else time.monotonic() + timeout
+    # -- front-end hooks -----------------------------------------------------
+
+    def _join_dispatchers(self, deadline: Optional[float]) -> None:
+        self._join([self._dispatcher], deadline)
+
+    def _snapshot_detail(self) -> Dict[str, object]:
+        # Per-replica detail lives in replica_stats().
+        return {"plan_cache_hits": self._cache_hits,
+                "plan_cache_misses": self._cache_misses}
+
+    def _shutdown(self, deadline: Optional[float]) -> None:
+        """Wait for in-flight batches, then shut the replica processes
+        down and unlink every ring segment."""
         with self._cond:
             while any(replica.alive and replica.inflight
                       for replica in self._replicas):
@@ -1143,7 +978,6 @@ class ReplicaEngine:
                 if remaining <= 0:
                     break
                 self._cond.wait(timeout=remaining)
-        with self._cond:
             replicas = list(self._replicas)
         for replica in replicas:
             try:
@@ -1170,25 +1004,7 @@ class ReplicaEngine:
                 # parent mapping — nothing of this tier survives in
                 # /dev/shm.
                 replica.channel.retire()
-        for thread in self._receivers:
-            thread.join(timeout=5.0)
-        if self._latency_model_path is not None and \
-                self.latency_model is not None and \
-                self.latency_model.observations > 0:
-            # Persist the tier-level calibration so the next tier on
-            # this model starts warm (mirrors the in-process engine).
-            try:
-                self.latency_model.save(self._latency_model_path)
-            except OSError as exc:
-                logger.warning("could not persist tier latency model "
-                               "to %s: %s", self._latency_model_path,
-                               exc)
-
-    def __enter__(self) -> "ReplicaEngine":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
+        self._join(self._receivers, None, cap=5.0)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1360,7 +1176,7 @@ class ReplicaEngine:
             pass
         replica.process.join(timeout=1.0)
         for inflight in doomed:
-            self._fail_requests(inflight.requests, ReplicaCrashError(
+            self._fail(inflight.requests, ReplicaCrashError(
                 f"replica {replica.index} (pid {replica.pid}) died with "
                 f"the batch in flight: {exc}"))
         if doomed or not self._closed:
@@ -1387,47 +1203,6 @@ class ReplicaEngine:
             self._restart(replica)
 
     # -- dispatch ------------------------------------------------------------
-
-    def _shed_request(self, request: InferenceRequest) -> None:
-        """Fail one request with the typed shed error and record it
-        (the queue's ``on_shed`` callback and the admission breaker)."""
-        with self._cond:
-            self._shed += 1
-        self.recorder.record_shed(1)
-        self.flightrec.record("shed", reason="slo",
-                              priority=request.priority)
-        self._finish_trace(request)
-        if not request.future.done():
-            deadline_note = ""
-            if request.deadline_s is not None:
-                remaining_ms = (request.deadline_s
-                                - time.monotonic()) * 1e3
-                deadline_note = (f" ({remaining_ms:.1f} ms of SLO "
-                                 f"budget left)")
-            request.future.set_exception(RequestShedError(
-                f"request shed by the replica tier's SLO-aware "
-                f"admission control{deadline_note}; retry with backoff "
-                f"or lower load"))
-
-    def _finish_trace(self, request: InferenceRequest) -> None:
-        """Close out a sampled request's trace on a non-success path so
-        the partial span tree (however far it got) still exports."""
-        trace = request.trace
-        if trace is None or self.tracer is None:
-            return
-        trace.mark("completed")
-        self.tracer.finish(trace)
-
-    def _fail_requests(self, requests: List[InferenceRequest],
-                       exc: BaseException) -> None:
-        failed_at = time.monotonic()
-        self.recorder.record_failure(
-            len(requests), [failed_at - request.enqueued_at
-                            for request in requests])
-        for request in requests:
-            self._finish_trace(request)
-            if not request.future.done():
-                request.future.set_exception(exc)
 
     def _acquire_replica(self) -> Optional[_Replica]:
         """Least-loaded live replica with a free in-flight slot; blocks
@@ -1467,21 +1242,16 @@ class ReplicaEngine:
 
     def _dispatch_loop(self) -> None:
         while True:
-            self._dispatch_gate.wait()
-            batch = self.queue.next_batch()
+            batch = self._next_batch()
             if batch is None:
                 return
             traces = () if self.tracer is None else \
                 tuple(request.trace for request in batch
                       if request.trace is not None)
-            if traces:
-                dequeued = time.perf_counter()
-                for trace in traces:
-                    trace.mark("dequeued", at=dequeued)
             while True:
                 replica = self._acquire_replica()
                 if replica is None:
-                    self._fail_requests(batch, ReplicaCrashError(
+                    self._fail(batch, ReplicaCrashError(
                         "no live replicas (crashed beyond the restart "
                         "limit)"))
                     break
@@ -1681,39 +1451,6 @@ class ReplicaEngine:
         for trace in entry.traces:
             trace.attach_children("dispatch", [root])
 
-    def _log_slow_requests(self, entry: _Inflight, replica: _Replica,
-                           latencies: List[float]) -> None:
-        """Mirror the in-process engine's slow-request log, with the
-        tier-phase breakdown (slot wait, dispatch/IPC) when traced."""
-        threshold_s = self.slow_request_ms / 1e3
-        slow = [(request, latency) for request, latency
-                in zip(entry.requests, latencies)
-                if latency >= threshold_s]
-        if not slow:
-            return
-        with self._cond:
-            self.slow_requests += len(slow)
-        for request, latency in slow:
-            trace = request.trace
-            if trace is not None:
-                phases = trace.phase_durations_ms()
-                breakdown = ", ".join(
-                    f"{name} {phases[name]:.2f}ms" for name in
-                    ("queue_wait", "slot_wait", "batch_assembly",
-                     "dispatch", "finalize") if name in phases)
-                logger.warning(
-                    "slow request on replica tier: %.2f ms "
-                    "(threshold %.2f ms, replica %d, batch %d): %s",
-                    latency * 1e3, self.slow_request_ms,
-                    replica.index, len(entry.requests), breakdown)
-            else:
-                logger.warning(
-                    "slow request on replica tier: %.2f ms "
-                    "(threshold %.2f ms, replica %d, batch %d; "
-                    "untraced — attach a tracer for the phase "
-                    "breakdown)", latency * 1e3, self.slow_request_ms,
-                    replica.index, len(entry.requests))
-
     def _peek_inflight(self, replica: _Replica, request_id: int,
                        stats: Tuple[int, ...]) -> Optional[_Inflight]:
         """Look the entry up *without* releasing anything: its slots
@@ -1794,45 +1531,19 @@ class ReplicaEngine:
             return
         if self._finish_inflight(replica, request_id) is None:
             return
-        if self.latency_model is not None:
-            # Tier-level calibration point: dispatch-to-completion for
-            # this batch size — exactly the interval the front-end
-            # assembly adds to "now" when it sizes a batch against a
-            # deadline (pipe transit and replica queueing included).
-            self.latency_model.observe(
-                len(requests), time.monotonic() - entry.sent_at)
         if entry.traces:
             for trace in entry.traces:
                 trace.mark("received", at=received_pc)
             if span_block is not None:
                 self._merge_replica_spans(replica, entry, received_pc,
                                           span_block)
-        completed = time.monotonic()
-        latencies = [completed - request.enqueued_at
-                     for request in requests]
-        slo_misses = sum(1 for request in requests
-                         if request.deadline_s is not None
-                         and completed > request.deadline_s)
-        self.recorder.record_batch(len(requests), latencies,
-                                   slo_misses=slo_misses)
-        if slo_misses:
-            self.flightrec.record("slo_miss", replica=replica.index,
-                                  count=slo_misses, size=len(requests))
         with self._cond:
             replica.completed_requests += len(requests)
             replica.completed_batches += 1
-        for request, result in zip(requests, results):
-            if not request.future.done():
-                request.future.set_result(result)
-        if entry.traces:
-            completed_pc = time.perf_counter()
-            tracer = self.tracer
-            for trace in entry.traces:
-                trace.mark("completed", at=completed_pc)
-                if tracer is not None:
-                    tracer.finish(trace)
-        if self.slow_request_ms is not None:
-            self._log_slow_requests(entry, replica, latencies)
+        # Tier-level calibration point: dispatch-to-completion for this
+        # batch size, pipe transit and replica queueing included.
+        self._complete(requests, results,
+                       time.monotonic() - entry.sent_at)
 
     def _on_error(self, replica: _Replica, request_id: int,
                   stats: Tuple[int, ...], payload) -> None:
@@ -1855,4 +1566,4 @@ class ReplicaEngine:
                                 exc: BaseException) -> None:
         with self._cond:
             replica.failed_requests += len(requests)
-        self._fail_requests(requests, exc)
+        self._fail(requests, exc)

@@ -1,6 +1,6 @@
 """Scrape-time collectors for the runtime's existing cheap counters.
 
-The arena, kernel workspace, plan cache, serving recorder/engine, and safety
+The arena, kernel workspace, plan cache, serving front ends, and safety
 monitor pipeline all keep small local stats already (they predate this
 module).  Rather than threading registry handles through every hot path,
 each instance registers itself here at construction — a single
@@ -20,12 +20,14 @@ kernel workspace          counters   allocations/allocated_bytes/hits
                                      (``_total``)
                           gauges     bytes, peak_bytes, instances
 plan cache                counters   hits/misses/stores (``_total``)
-serving (per recorder)    counters   requests/batches/failures (``_total``)
+serving (per front end,   counters   requests/batches/failures/shed/
+engine or replica tier)              slo_misses/slow_requests (``_total``)
                           gauges     queue_depth, latency p50/p95/p99 ms,
-                                     throughput window rps, failure ratio
+                                     throughput window rps, failure ratio,
+                                     error-budget burn
 replica tier              counters   replica requests/failures and child
                                      arena allocations (labeled
-                                     ``replica="N"``), tier restarts/shed,
+                                     ``replica="N"``), tier restarts,
                                      shm requests/fallbacks
                           gauges     live replicas, per-replica inflight,
                                      shm bytes inflight
@@ -48,7 +50,7 @@ from .registry import MetricFamily, MetricsRegistry, Sample, get_registry
 _arenas: "weakref.WeakSet" = weakref.WeakSet()
 _workspaces: "weakref.WeakSet" = weakref.WeakSet()
 _plan_caches: "weakref.WeakSet" = weakref.WeakSet()
-_engines: "weakref.WeakSet" = weakref.WeakSet()
+_frontends: "weakref.WeakSet" = weakref.WeakSet()
 _pipelines: "weakref.WeakSet" = weakref.WeakSet()
 _replica_tiers: "weakref.WeakSet" = weakref.WeakSet()
 
@@ -71,9 +73,9 @@ def track_plan_cache(cache) -> None:
     _plan_caches.add(cache)
 
 
-def track_engine(engine) -> None:
+def track_frontend(frontend) -> None:
     _ensure_default_installed()
-    _engines.add(engine)
+    _frontends.add(frontend)
 
 
 def track_pipeline(pipeline) -> None:
@@ -105,7 +107,7 @@ def install_runtime_collectors(registry: MetricsRegistry) -> List:
         registry.register_collector(_collect_arenas),
         registry.register_collector(_collect_workspaces),
         registry.register_collector(_collect_plan_caches),
-        registry.register_collector(_collect_engines),
+        registry.register_collector(_collect_frontends),
         registry.register_collector(_collect_pipelines),
         registry.register_collector(_collect_replica_tiers),
     ]
@@ -217,22 +219,24 @@ def _collect_plan_caches() -> Iterable[MetricFamily]:
         "Plan-cache entries written", stores)
 
 
-def _collect_engines() -> Iterable[MetricFamily]:
+def _collect_frontends() -> Iterable[MetricFamily]:
+    """The ``repro_serving_*`` series over every live serving front end:
+    in-process engines and replica tiers alike."""
     requests = batches = failures = slow = 0
     shed = slo_misses = 0
     depth = 0
     p50 = p95 = p99 = window_rps = failure_rate = 0.0
     goodput = miss_rate = 0.0
     live = 0
-    for engine in list(_engines):
-        snapshot = engine.recorder.snapshot(
-            queue_depth=engine.queue.depth())
+    for frontend in list(_frontends):
+        snapshot = frontend.recorder.snapshot(
+            queue_depth=frontend.queue.depth())
         requests += snapshot.requests
         batches += snapshot.batches
         failures += snapshot.failures
         shed += snapshot.shed
         slo_misses += snapshot.slo_misses
-        slow += engine.slow_requests
+        slow += frontend.slow_requests
         depth += snapshot.queue_depth
         p50 = max(p50, snapshot.p50_ms)
         p95 = max(p95, snapshot.p95_ms)
@@ -244,36 +248,37 @@ def _collect_engines() -> Iterable[MetricFamily]:
         live += 1
     yield _counter_family(
         "repro_serving_requests_total",
-        "Requests completed by serving engines", requests)
+        "Requests completed by serving front ends", requests)
     yield _counter_family(
         "repro_serving_batches_total",
-        "Batches executed by serving engines", batches)
+        "Batches executed by serving front ends", batches)
     yield _counter_family(
         "repro_serving_failures_total",
-        "Requests failed by serving engines", failures)
+        "Requests failed by serving front ends", failures)
     yield _counter_family(
         "repro_serving_slow_requests_total",
-        "Requests that exceeded the engine slow-request threshold", slow)
+        "Requests that exceeded the slow-request threshold", slow)
     yield _gauge_family(
         "repro_serving_queue_depth",
         "Requests waiting in serving batch queues", depth)
     yield _gauge_family(
-        "repro_serving_engines", "Live serving engines", live)
+        "repro_serving_engines", "Live serving front ends", live)
     yield _gauge_family(
         "repro_serving_latency_p50_ms",
-        "Worst per-engine windowed p50 latency", p50)
+        "Worst per-front-end windowed p50 latency", p50)
     yield _gauge_family(
         "repro_serving_latency_p95_ms",
-        "Worst per-engine windowed p95 latency", p95)
+        "Worst per-front-end windowed p95 latency", p95)
     yield _gauge_family(
         "repro_serving_latency_p99_ms",
-        "Worst per-engine windowed p99 latency", p99)
+        "Worst per-front-end windowed p99 latency", p99)
     yield _gauge_family(
         "repro_serving_window_rps",
-        "Summed sliding-window throughput across engines", window_rps)
+        "Summed sliding-window throughput across front ends",
+        window_rps)
     yield _gauge_family(
         "repro_serving_failure_rate",
-        "Worst per-engine windowed failure rate", failure_rate)
+        "Worst per-front-end windowed failure rate", failure_rate)
     yield _counter_family(
         "repro_serving_shed_total",
         "Requests shed by SLO-aware admission control before execution",
@@ -284,32 +289,29 @@ def _collect_engines() -> Iterable[MetricFamily]:
         slo_misses)
     yield _gauge_family(
         "repro_serving_goodput_rps",
-        "Summed sliding-window SLO-met throughput across engines",
+        "Summed sliding-window SLO-met throughput across front ends",
         goodput)
     yield _gauge_family(
         "repro_serving_miss_rate",
-        "Worst per-engine windowed share of bad outcomes "
+        "Worst per-front-end windowed share of bad outcomes "
         "(failures + sheds + deadline misses)", miss_rate)
     yield _burn_rate_family()
 
 
 def _burn_rate_family() -> MetricFamily:
-    """Worst error-budget burn across every engine *and* replica tier
-    (both publish through a ``MetricsRecorder``), one sample per
+    """Worst error-budget burn across every front end, one sample per
     window.  Lazy import: serving.metrics itself imports telemetry."""
     from ..serving.metrics import BURN_WINDOWS
 
     family = MetricFamily(
         "repro_serving_error_budget_burn", "gauge",
-        "Worst per-engine SLO error-budget burn rate (bad-outcome share "
+        "Worst per-front-end SLO error-budget burn rate (bad-outcome share "
         "over the window divided by the SLO's error budget; 1.0 spends "
         "the budget exactly as fast as it accrues)")
     for label, window_s in BURN_WINDOWS:
         burn = 0.0
-        for owner in list(_engines) + list(_replica_tiers):
-            recorder = getattr(owner, "recorder", None)
-            if recorder is not None:
-                burn = max(burn, recorder.error_budget_burn(window_s))
+        for frontend in list(_frontends):
+            burn = max(burn, frontend.recorder.error_budget_burn(window_s))
         family.samples.append(Sample(
             family.name, (("window", label),), burn))
     return family
@@ -330,13 +332,12 @@ def _collect_replica_tiers() -> Iterable[MetricFamily]:
     arena_family = MetricFamily(
         "repro_replica_arena_allocations_total", "counter",
         "Scratch-arena heap allocations inside each replica process")
-    live = restarts = shed = slow = 0
+    live = restarts = 0
     shm_bytes = shm_requests = shm_fallbacks = 0
     for tier in list(_replica_tiers):
         shm_bytes += tier.shm_bytes_inflight
         shm_requests += tier.shm_requests
         shm_fallbacks += tier.shm_fallbacks
-        slow += getattr(tier, "slow_requests", 0)
         for stats in tier.replica_stats():
             labels = (("replica", str(stats.index)),)
             requests_family.samples.append(Sample(
@@ -352,7 +353,6 @@ def _collect_replica_tiers() -> Iterable[MetricFamily]:
                 float(stats.child_arena_allocations)))
             live += int(stats.alive)
         restarts += tier.restarts
-        shed += tier.shed_requests
     for family in (requests_family, failures_family, inflight_family,
                    arena_family):
         if not family.samples:
@@ -365,12 +365,6 @@ def _collect_replica_tiers() -> Iterable[MetricFamily]:
     yield _counter_family(
         "repro_replica_tier_restarts_total",
         "Replica processes restarted after a crash", restarts)
-    yield _counter_family(
-        "repro_replica_tier_shed_total",
-        "Requests shed by replica-tier admission control", shed)
-    yield _counter_family(
-        "repro_replica_tier_slow_requests_total",
-        "Tier requests that exceeded the slow-request threshold", slow)
     yield _gauge_family(
         "repro_replica_shm_bytes_inflight",
         "Request payload bytes currently parked in shared-memory ring "

@@ -17,7 +17,7 @@ import time
 import pytest
 
 from repro.ir import build_model
-from repro.serving import ReplicaEngine, sample_feeds
+from repro.serving import ReplicaEngine, ShedPolicy, sample_feeds
 from repro.serving.metrics import (
     BURN_WINDOWS,
     DEFAULT_SLO_TARGET,
@@ -290,6 +290,9 @@ class TestWireTrailers:
 # ---------------------------------------------------------------------------
 # merged fleet traces, end to end
 
+# A queue bound no test here reaches.
+ROOMY_QUEUE = ShedPolicy(queue_limit=64)
+
 
 @pytest.fixture(scope="module")
 def mlp_graph():
@@ -339,7 +342,7 @@ class TestFleetTracing:
         tracer = Tracer(sample_rate=1.0, capacity=256)
         with ReplicaEngine(mlp_graph, replicas=2, max_batch=4,
                            max_latency_ms=5.0, max_inflight=1,
-                           queue_limit=64, cache_dir=tmp_path,
+                           shed_policy=ROOMY_QUEUE, cache_dir=tmp_path,
                            shm=shm, tracer=tracer) as tier:
             # Coalesce 8 full batches behind the dispatch gate: with a
             # one-batch in-flight budget the dispatcher must overflow
@@ -423,7 +426,7 @@ class TestFleetTracing:
         recorder = FlightRecorder(capacity=512,
                                   dump_dir=tmp_path / "dumps")
         with ReplicaEngine(mlp_graph, replicas=1, max_batch=2,
-                           max_latency_ms=5.0, queue_limit=64,
+                           max_latency_ms=5.0, shed_policy=ROOMY_QUEUE,
                            restart_limit=2,
                            cache_dir=tmp_path / "cache",
                            tracer=tracer,

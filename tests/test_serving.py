@@ -96,7 +96,7 @@ class TestBatchQueue:
         with pytest.raises(ValueError):
             BatchQueue(max_latency_s=-1.0)
         with pytest.raises(ValueError):
-            BatchQueue(queue_limit=0, on_shed=lambda r: None)
+            BatchQueue(queue_limit=0, on_shed=lambda request, reason: None)
         with pytest.raises(ValueError):
             BatchQueue(queue_limit=4)       # queue_limit needs on_shed
 
@@ -152,7 +152,8 @@ class TestBatchQueueDeadlineEdges:
         shed = []
         queue = BatchQueue(max_batch=8, max_latency_s=30.0,
                            cost_model=lambda n: 1e-4,
-                           on_shed=shed.append)
+                           on_shed=lambda request, reason:
+                           shed.append(request))
         request = make_request()
         request.deadline_s = time.monotonic() + 10.0
         queue.submit(request)
@@ -502,8 +503,8 @@ class TestEngineDispatchThreads:
             assert running.wait(5)
             assert doomed.cancel()      # the client gives up mid-batch
             release.set()
-            # Setting the cancelled future's result raises; the only
-            # dispatch thread must survive it and serve the next request.
+            # The cancelled future is skipped at completion; the only
+            # dispatch thread serves the next request.
             assert engine.infer(mlp_feeds).result(timeout=10)
         finally:
             release.set()

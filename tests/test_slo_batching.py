@@ -143,7 +143,9 @@ class TestAdaptiveAssembly:
         shed = []
         queue = BatchQueue(max_batch=4, max_latency_s=10.0,
                            cost_model=lambda n: 0.010 * n,
-                           on_shed=shed.append, headroom_s=0.0)
+                           on_shed=lambda request, reason:
+                           shed.append((request, reason)),
+                           headroom_s=0.0)
         deadline = time.monotonic() + 0.025
         for i in range(4):
             queue.submit(make_request(i, deadline_s=deadline))
@@ -154,7 +156,7 @@ class TestAdaptiveAssembly:
     def test_no_deadlines_fills_to_max_batch(self):
         queue = BatchQueue(max_batch=4, max_latency_s=10.0,
                            cost_model=lambda n: 1e-4,
-                           on_shed=lambda r: None)
+                           on_shed=lambda request, reason: None)
         for i in range(4):
             queue.submit(make_request(i))
         assert len(queue.next_batch()) == 4
@@ -163,19 +165,21 @@ class TestAdaptiveAssembly:
         shed = []
         queue = BatchQueue(max_batch=4, max_latency_s=0.05,
                            cost_model=lambda n: 0.050,
-                           on_shed=shed.append, headroom_s=0.0)
+                           on_shed=lambda request, reason:
+                           shed.append((request, reason)),
+                           headroom_s=0.0)
         doomed = make_request(0, deadline_s=time.monotonic() + 0.001)
         viable = make_request(1, deadline_s=time.monotonic() + 10.0)
         queue.submit(doomed)
         queue.submit(viable)
         batch = queue.next_batch()
         assert batch == [viable]
-        assert shed == [doomed]
+        assert shed == [(doomed, "slo")]
 
     def test_cold_model_falls_back_to_fixed_policy(self):
         queue = BatchQueue(max_batch=4, max_latency_s=0.02,
                            cost_model=lambda n: None,
-                           on_shed=lambda r: None)
+                           on_shed=lambda request, reason: None)
         queue.submit(make_request())
         start = time.monotonic()
         batch = queue.next_batch()
@@ -189,7 +193,7 @@ class TestAdaptiveAssembly:
         # partial batch still may, bounded by max_latency_s).
         queue = BatchQueue(max_batch=4, max_latency_s=0.05,
                            cost_model=lambda n: 1e-4,
-                           on_shed=lambda r: None)
+                           on_shed=lambda request, reason: None)
         for i in range(6):
             queue.submit(make_request(i))
         start = time.monotonic()
@@ -220,25 +224,30 @@ class TestPriorities:
     def test_queue_limit_evicts_youngest_lowest_priority(self):
         shed = []
         queue = BatchQueue(max_batch=8, max_latency_s=10.0,
-                           queue_limit=2, on_shed=shed.append)
+                           queue_limit=2,
+                           on_shed=lambda request, reason:
+                           shed.append((request, reason)))
         old_low = make_request(0, priority=0)
         young_low = make_request(1, priority=0)
         queue.submit(old_low)
         queue.submit(young_low)
         high = make_request(2, priority=3)
         queue.submit(high)                   # over the limit: evict
-        assert shed == [young_low]           # youngest of the lowest
+        # The youngest of the lowest class goes.
+        assert shed == [(young_low, "queue_full")]
         assert queue.depth() == 2
 
     def test_queue_limit_sheds_arrival_when_nothing_outranked(self):
         shed = []
         queue = BatchQueue(max_batch=8, max_latency_s=10.0,
-                           queue_limit=1, on_shed=shed.append)
+                           queue_limit=1,
+                           on_shed=lambda request, reason:
+                           shed.append((request, reason)))
         queued = make_request(0, priority=5)
         queue.submit(queued)
         arrival = make_request(1, priority=0)
         queue.submit(arrival)
-        assert shed == [arrival]
+        assert shed == [(arrival, "queue_full")]
         assert queue.depth() == 1
 
 
@@ -269,46 +278,6 @@ class TestEngineShedding:
         assert outcomes.count("shed") >= 1
         assert snapshot.shed == outcomes.count("shed")
         assert snapshot.shed + snapshot.requests == 24
-
-    def test_miss_rate_breaker_sheds_low_priority(self, mlp_graph,
-                                                  mlp_feeds):
-        # An impossible SLO makes every completion a miss; once the
-        # windowed miss rate trips the breaker, priority-0 arrivals are
-        # shed at admission while priority-1 traffic is still served.
-        # The warm-up burst runs at priority 1: the breaker may trip
-        # mid-burst (completions race the submit loop on a slow box),
-        # and it must never touch traffic above shed_priority.
-        policy = ShedPolicy(miss_rate_threshold=0.5, shed_priority=0,
-                            min_events=4)
-        with InferenceEngine(mlp_graph, workers=1, max_batch=4,
-                             max_latency_ms=1.0,
-                             default_slo_ms=1e-6,
-                             shed_policy=policy) as engine:
-            engine.infer_many([mlp_feeds] * 8, timeout=30, priority=1)
-            assert engine.metrics().slo_misses == 8
-            with pytest.raises(RequestShedError):
-                engine.infer_sync(mlp_feeds, timeout=30)
-            assert engine.metrics().shed >= 1
-            # Higher classes ride out the brownout.
-            result = engine.infer_sync(mlp_feeds, timeout=30, priority=1)
-        assert set(result) != set()
-
-    def test_latency_model_persists_across_engines(self, mlp_graph,
-                                                   mlp_feeds, tmp_path):
-        from repro.runtime.plan_cache import PlanCache
-
-        cache = PlanCache(tmp_path)
-        with InferenceEngine(mlp_graph, workers=1, max_batch=4,
-                             adaptive=True, plan_cache=cache) as engine:
-            engine.infer_many([mlp_feeds] * 16, timeout=30)
-            trained = engine.latency_model.observations
-        assert trained > 0
-        saved = list((tmp_path / "latency").glob("*.json"))
-        assert len(saved) == 1
-        with InferenceEngine(mlp_graph, workers=1, max_batch=4,
-                             adaptive=True, plan_cache=cache) as engine:
-            # Warm start: the calibration came back from disk.
-            assert engine.latency_model.observations == trained
 
     def test_plan_compile_time_stays_out_of_the_latency_model(
             self, mlp_graph, mlp_feeds, monkeypatch):

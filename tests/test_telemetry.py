@@ -467,24 +467,6 @@ class TestServingIntegration:
             engine.infer_many([feeds] * 4, timeout=30.0)
             assert engine.tracer is None
 
-    def test_slow_request_log_counts_and_logs(self, caplog):
-        import logging
-
-        from repro.ir import build_model
-        from repro.serving import InferenceEngine
-        from repro.serving.bench import sample_feeds
-
-        graph = build_model("mlp")
-        feeds = sample_feeds(graph)
-        with caplog.at_level(logging.WARNING, logger="repro.serving"):
-            with InferenceEngine(graph, max_batch=2,
-                                 slow_request_ms=0.0) as engine:
-                engine.infer_many([feeds] * 4, timeout=30.0)
-        # close() drains the worker slots, so slow accounting is done.
-        assert engine.slow_requests == 4
-        assert any("slow request" in record.message
-                   for record in caplog.records)
-
     def test_sequential_executor_timeline(self):
         from repro.ir import build_model
         from repro.runtime import Executor
