@@ -15,6 +15,11 @@ compute-heavier one (``tiny_convnet``, where multi-core scale should
 pay).  Every row must finish with zero failures, zero restarts, and
 zero shed requests — throughput bought with dropped work doesn't count.
 
+A frame-packing microbench rides along: the legacy two-stage
+``encode_tensors`` + frame concatenation vs the single-allocation
+``pack_tensor_frame`` every replica frame now uses.  The packer must
+never lose to the path it replaced (>= 0.9x, on any host).
+
 ``REPRO_BENCH_SMOKE=1`` shrinks request counts for CI smoke jobs.
 Results are written to ``BENCH_pr6.json`` at the repo root.  The CI
 speedup guard (>= 1.5x at 4 replicas over the in-process baseline, on
@@ -25,10 +30,18 @@ smaller runners the numbers are recorded but cannot show scaling.
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 from repro.ir import build_model
-from repro.serving import run_replica_bench
+from repro.serving import run_replica_bench, sample_feeds
+from repro.serving.replicas import (
+    _KIND_REQUEST,
+    _ZERO_STATS,
+    _pack_frame,
+    encode_tensors,
+    pack_tensor_frame,
+)
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 REQUESTS = 32 if SMOKE else 256
@@ -67,7 +80,42 @@ def replica_sweep(graph):
     }
 
 
-def render(results):
+def frame_pack_microbench(graph, batch=32, repeats=50):
+    """ns/frame for the legacy two-stage pipe framing vs the
+    single-allocation packer (identical output bytes)."""
+    template = graph.with_batch(batch)
+    feeds = {
+        spec.name: sample_feeds(graph, seed=1)[spec.name].repeat(batch,
+                                                                 axis=0)
+        for spec in template.inputs
+    }
+    legacy_frame = _pack_frame(_KIND_REQUEST, 1, _ZERO_STATS,
+                               encode_tensors(feeds))
+    single_frame = pack_tensor_frame(_KIND_REQUEST, 1, _ZERO_STATS, feeds)
+    assert bytes(single_frame) == bytes(legacy_frame)
+
+    def clock(fn):
+        best = float("inf")
+        for _ in range(repeats):
+            start = time.perf_counter()
+            fn()
+            best = min(best, time.perf_counter() - start)
+        return best
+
+    legacy_s = clock(lambda: _pack_frame(_KIND_REQUEST, 1, _ZERO_STATS,
+                                         encode_tensors(feeds)))
+    single_s = clock(lambda: pack_tensor_frame(_KIND_REQUEST, 1,
+                                               _ZERO_STATS, feeds))
+    return {
+        "batch": batch,
+        "frame_bytes": len(legacy_frame),
+        "legacy_us": legacy_s * 1e6,
+        "single_alloc_us": single_s * 1e6,
+        "speedup": legacy_s / single_s if single_s > 0 else 0.0,
+    }
+
+
+def render(results, packing):
     lines = []
     for name, row in results.items():
         lines.append(name)
@@ -79,6 +127,12 @@ def render(results):
                 f"mean_b {entry['mean_batch']:.2f} "
                 f"p95 {entry['p95_ms']:.2f} ms "
                 f"({entry['speedup']:.2f}x)")
+    lines.append(
+        f"frame packing (batch {packing['batch']}, "
+        f"{packing['frame_bytes'] / 1024:.0f} KiB): "
+        f"legacy {packing['legacy_us']:.0f} us vs "
+        f"single-alloc {packing['single_alloc_us']:.0f} us "
+        f"({packing['speedup']:.2f}x)")
     lines.append(f"host cpus: {os.cpu_count()}")
     return "\n".join(lines)
 
@@ -90,17 +144,26 @@ def test_txt_replica_scaling(benchmark, report):
     }
 
     def study():
-        return {name: replica_sweep(graph)
-                for name, graph in workloads.items()}
+        sweeps = {name: replica_sweep(graph)
+                  for name, graph in workloads.items()}
+        packing = frame_pack_microbench(
+            build_model("tiny_convnet", image_size=64))
+        return sweeps, packing
 
-    results = benchmark.pedantic(study, rounds=1, iterations=1)
-    report("txt_replica_scaling", render(results))
+    results, packing = benchmark.pedantic(study, rounds=1, iterations=1)
+    report("txt_replica_scaling", render(results, packing))
     BENCH_JSON.write_text(json.dumps({
         "benchmark": "txt_replica_scaling",
         "smoke": SMOKE,
         "cpus": os.cpu_count(),
         "workloads": results,
+        "frame_packing": packing,
     }, indent=2) + "\n")
+
+    # The packer's single allocation must never lose to the two-stage
+    # path it replaces — this holds even on a 1-CPU host.
+    assert packing["speedup"] >= 0.9, (
+        f"single-allocation framing regressed: {packing['speedup']:.2f}x")
 
     # Functional floor everywhere: every sweep completed all requests
     # (asserted in replica_sweep).  The scaling guard needs real cores

@@ -290,7 +290,6 @@ def _serve_bench_replicas(args: argparse.Namespace, graph) -> int:
         warmup=args.warmup, max_batch=args.max_batch,
         max_latency_ms=args.max_latency_ms,
         max_inflight=args.max_inflight, cache_dir=args.cache_dir,
-        shm=args.shm,
         on_tier=_scrape if args.metrics_json else None,
         tracer=tracer, slow_request_ms=args.slow_request_ms)
     print(render_replicas(results, name=args.model))
@@ -348,7 +347,7 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
 
 
 def _run_traced_tier(model: str, replicas: int, requests: int,
-                     tracer, flight_recorder=None, shm=None):
+                     tracer, flight_recorder=None):
     """Drive a short concurrent workload through a traced replica tier.
 
     Submissions overlap (the whole wave is enqueued before the first
@@ -366,7 +365,7 @@ def _run_traced_tier(model: str, replicas: int, requests: int,
     with tempfile.TemporaryDirectory(prefix="repro-trace-") as scratch:
         with ReplicaEngine(graph, replicas=replicas, max_batch=4,
                            max_latency_ms=2.0, cache_dir=scratch,
-                           shm=shm, tracer=tracer,
+                           tracer=tracer,
                            flight_recorder=flight_recorder) as tier:
             futures = [tier.infer(feeds) for _ in range(requests)]
             for future in futures:
@@ -639,12 +638,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--max-inflight", type=int, default=2,
                          help="admission-control budget: batches in "
                               "flight per replica (--replicas mode)")
-    p_serve.add_argument("--shm", default=None,
-                         action=argparse.BooleanOptionalAction,
-                         help="force the shared-memory data plane on "
-                              "(--shm) or off (--no-shm) for --replicas "
-                              "mode; default follows $REPRO_REPLICA_SHM "
-                              "(on where supported)")
     p_serve.add_argument("--trace", default=None,
                          choices=("bursty", "diurnal", "poisson"),
                          help="replay a deterministic open-loop arrival "

@@ -12,16 +12,13 @@ from .batcher import (
 from .bench import (
     BenchResult,
     ReplicaBenchResult,
-    ShmBenchResult,
     TraceReplayResult,
     make_trace,
     render,
     render_replicas,
-    render_shm,
     render_trace_replay,
     run_bench,
     run_replica_bench,
-    run_shm_bench,
     run_trace_replay,
     sample_feeds,
 )
@@ -36,18 +33,13 @@ from .replicas import (
     ReplicaStats,
     TierSaturatedError,
 )
-from .shm import ShmChannel, ShmRingSpec, shm_available
 
 __all__ = [
     "BatchQueue", "InferenceRequest", "QueueClosedError",
     "RequestShedError",
-    "BenchResult", "ReplicaBenchResult", "ShmBenchResult",
-    "TraceReplayResult",
-    "make_trace", "render", "render_replicas", "render_shm",
-    "render_trace_replay",
-    "run_bench", "run_replica_bench", "run_shm_bench",
-    "run_trace_replay", "sample_feeds",
-    "ShmChannel", "ShmRingSpec", "shm_available",
+    "BenchResult", "ReplicaBenchResult", "TraceReplayResult",
+    "make_trace", "render", "render_replicas", "render_trace_replay",
+    "run_bench", "run_replica_bench", "run_trace_replay", "sample_feeds",
     "EngineClosedError", "InferenceEngine", "ShedPolicy",
     "check_sample", "BatchLatencyModel",
     "MetricsRecorder", "MetricsSnapshot", "percentile",

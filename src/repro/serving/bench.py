@@ -158,7 +158,6 @@ def run_replica_bench(graph: Graph,
                       max_inflight: int = 2,
                       cache_dir=None,
                       start_method: str = "spawn",
-                      shm: Optional[bool] = None,
                       on_tier=None,
                       tracer=None,
                       slow_request_ms: Optional[float] = None
@@ -223,117 +222,12 @@ def run_replica_bench(graph: Graph,
                            max_inflight=max_inflight,
                            cache_dir=cache_dir,
                            start_method=start_method,
-                           shm=shm, tracer=tracer,
+                           tracer=tracer,
                            slow_request_ms=slow_request_ms) as tier:
             _measure(tier, "replicas", count, offered_clients)
             if on_tier is not None:
                 on_tier(tier)
     return results
-
-
-@dataclass(frozen=True)
-class ShmBenchResult:
-    """One measured data plane (pipe or shm) at one batch size."""
-
-    data_plane: str            # "pipe" or "shm"
-    batch: int                 # max_batch for the tier
-    clients: int
-    requests: int
-    request_kb: float          # per-request tensor payload (inputs), KiB
-    elapsed_s: float
-    throughput_rps: float
-    mean_batch: float
-    p50_ms: float
-    p95_ms: float
-    p99_ms: float
-    shm_requests: int          # batches that crossed via a ring slot
-    shm_fallbacks: int         # batches that fell back to the pipe codec
-
-
-def run_shm_bench(graph: Graph,
-                  batch_sizes: Sequence[int] = (1, 8, 32),
-                  requests: int = 128, clients: Optional[int] = None,
-                  warmup: int = 16,
-                  max_latency_ms: float = 2.0,
-                  max_inflight: int = 2,
-                  cache_dir=None,
-                  start_method: str = "spawn") -> List[ShmBenchResult]:
-    """Pipe codec vs shared-memory rings on a one-replica tier.
-
-    One replica isolates the data-plane cost: with a single child both
-    modes run the identical execution schedule, so the measured delta is
-    pure transport — frame pack/unpack + pipe writes on one side, slot
-    copies + a fixed-size control frame on the other.  Each batch size
-    gets its own tier pair (the ring slots are sized from ``max_batch``)
-    measured under the same offered load, ``clients`` when given else
-    ``max_inflight * batch`` so the in-flight budget stays full.  Both
-    modes share ``cache_dir`` so plan compilation is warm after the
-    first tier.
-    """
-    from .replicas import ReplicaEngine
-
-    feeds = sample_feeds(graph)
-    payload_kb = sum(array.nbytes for array in feeds.values()) / 1024.0
-    results: List[ShmBenchResult] = []
-    for batch in batch_sizes:
-        n_clients = clients if clients is not None \
-            else max_inflight * batch
-        for shm in (False, True):
-            with ReplicaEngine(graph, replicas=1, max_batch=batch,
-                               max_latency_ms=max_latency_ms,
-                               max_inflight=max_inflight,
-                               cache_dir=cache_dir,
-                               start_method=start_method,
-                               shm=shm) as tier:
-                _closed_loop(tier, feeds, n_clients, warmup)
-                before = tier.metrics()
-                shm_before = (tier.shm_requests, tier.shm_fallbacks)
-                elapsed = _closed_loop(tier, feeds, n_clients, requests)
-                after = tier.metrics()
-                measured = after.requests - before.requests
-                batches = after.batches - before.batches
-                results.append(ShmBenchResult(
-                    data_plane="shm" if shm else "pipe",
-                    batch=batch,
-                    clients=n_clients,
-                    requests=measured,
-                    request_kb=payload_kb,
-                    elapsed_s=elapsed,
-                    throughput_rps=measured / elapsed if elapsed > 0
-                    else 0.0,
-                    mean_batch=measured / batches if batches else 0.0,
-                    p50_ms=after.p50_ms,
-                    p95_ms=after.p95_ms,
-                    p99_ms=after.p99_ms,
-                    shm_requests=tier.shm_requests - shm_before[0],
-                    shm_fallbacks=tier.shm_fallbacks - shm_before[1],
-                ))
-    return results
-
-
-def render_shm(results: Sequence[ShmBenchResult], name: str = "") -> str:
-    """Fixed-width table of a pipe-vs-shm sweep (speedups are shm
-    relative to the pipe row at the same batch size)."""
-    header = (f"{'plane':<6} {'batch':>5} {'clients':>7} {'req/s':>9} "
-              f"{'mean_b':>6} {'p50ms':>7} {'p95ms':>7} {'slots':>6} "
-              f"{'fallbk':>6}")
-    lines = []
-    if name:
-        lines.append(f"serve-bench --shm: {name}")
-    lines.append(header)
-    lines.append("-" * len(header))
-    pipe_rps = {row.batch: row.throughput_rps for row in results
-                if row.data_plane == "pipe"}
-    for row in results:
-        base = pipe_rps.get(row.batch, 0.0)
-        speedup = (f" ({row.throughput_rps / base:.2f}x)"
-                   if row.data_plane == "shm" and base > 0 else "")
-        lines.append(
-            f"{row.data_plane:<6} {row.batch:>5} {row.clients:>7} "
-            f"{row.throughput_rps:>9.1f} {row.mean_batch:>6.2f} "
-            f"{row.p50_ms:>7.2f} {row.p95_ms:>7.2f} "
-            f"{row.shm_requests:>6} {row.shm_fallbacks:>6}{speedup}")
-    return "\n".join(lines)
 
 
 def render_replicas(results: Sequence[ReplicaBenchResult],

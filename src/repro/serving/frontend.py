@@ -59,6 +59,10 @@ from .metrics import MetricsRecorder, MetricsSnapshot
 
 logger = logging.getLogger("repro.serving")
 
+# The miss-rate breaker judges only outcomes from the last this many
+# seconds, so it closes again once the misses that opened it age out.
+BREAKER_WINDOW_S = 10.0
+
 
 class EngineClosedError(RuntimeError):
     """Raised when submitting to a serving front end that has been shut
@@ -72,13 +76,14 @@ class ShedPolicy:
     ``queue_limit`` bounds the batch queue: an arrival past it evicts
     the youngest lowest-priority queued request if the arrival outranks
     it, else the arrival itself is shed.  ``miss_rate_threshold`` arms a
-    windowed circuit breaker: once the recorder's miss rate (failures +
-    sheds + deadline misses over recent requests) reaches it, arriving
-    requests with ``priority <= shed_priority`` are shed at admission —
-    the lowest classes brown out first while higher classes keep their
-    SLO.  The breaker only arms after ``min_events`` requests so a cold
-    front end is never judged on two data points.  Every shed fails the
-    request's future with :class:`RequestShedError`.
+    windowed circuit breaker: once the miss rate (failures + sheds +
+    deadline misses over the last ``BREAKER_WINDOW_S`` seconds, not
+    counting the breaker's own sheds) reaches it, arriving requests
+    with ``priority <= shed_priority`` are shed at admission — the
+    lowest classes brown out first while higher classes keep their SLO.
+    The breaker only arms with ``min_events`` requests in the window so
+    a cold front end is never judged on two data points.  Every shed
+    fails the request's future with :class:`RequestShedError`.
     """
 
     queue_limit: Optional[int] = None
@@ -381,8 +386,8 @@ class Frontend:
         policy = self.shed_policy
         if policy is None or policy.miss_rate_threshold is None:
             return False
-        miss_rate = self.recorder.miss_rate()
-        is_open = self.recorder.window_events() >= policy.min_events and \
+        events, miss_rate = self.recorder.recent_outcomes(BREAKER_WINDOW_S)
+        is_open = events >= policy.min_events and \
             miss_rate >= policy.miss_rate_threshold
         with self._lock:
             tripped = is_open and not self._breaker_open
@@ -401,7 +406,7 @@ class Frontend:
     def _shed(self, request: InferenceRequest, reason: str) -> None:
         """Fail one request with the typed shed error and record it
         (the queue's ``on_shed`` callback and the breaker)."""
-        self.recorder.record_shed(1)
+        self.recorder.record_shed(1, breaker=(reason == "breaker"))
         self.flightrec.record("shed", reason=reason,
                               priority=request.priority)
         deadline_note = ""

@@ -23,9 +23,10 @@ from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Optional
+from typing import Deque, Dict, Optional, Tuple
 
 from ..telemetry import DEFAULT_SIZE_BUCKETS, get_registry
 
@@ -75,8 +76,7 @@ class MetricsSnapshot:
     slo_misses: int = 0
     goodput_rps: float = 0.0
     # Windowed share of bad outcomes (failures + sheds + deadline
-    # misses) among recent completions — the signal the load-shedding
-    # admission controller keys on.
+    # misses) among recent completions.
     miss_rate: float = 0.0
     # Allocation behaviour aggregated over the engine's plan instances:
     # a warmed-up engine shows flat allocation counts and growing reuses.
@@ -144,6 +144,9 @@ class MetricsRecorder:
         self._failure_times: Deque[float] = deque(maxlen=window)
         self._shed_times: Deque[float] = deque(maxlen=window)
         self._good_times: Deque[float] = deque(maxlen=window)
+        # The subset of sheds the miss-rate breaker issued itself, which
+        # its own decision must not count (see recent_outcomes).
+        self._breaker_shed_times: Deque[float] = deque(maxlen=window)
         self._started_at = clock()
         registry = registry or get_registry()
         self._latency_hist = registry.histogram(
@@ -177,13 +180,17 @@ class MetricsRecorder:
             self._latency_hist.observe(latency)
         self._batch_hist.observe(batch_size)
 
-    def record_shed(self, count: int = 1) -> None:
+    def record_shed(self, count: int = 1, breaker: bool = False) -> None:
         """Record ``count`` requests shed before execution (early,
-        typed rejections — not failures, not completions)."""
+        typed rejections — not failures, not completions).  ``breaker``
+        marks sheds the miss-rate breaker issued: they count everywhere
+        except in :meth:`recent_outcomes`."""
         now = self._clock()
         with self._lock:
             self._counters.shed += count
             self._shed_times.extend([now] * count)
+            if breaker:
+                self._breaker_shed_times.extend([now] * count)
 
     def record_failure(self, count: int, latencies_s=None) -> None:
         """Record ``count`` failed requests.
@@ -233,18 +240,24 @@ class MetricsRecorder:
         miss_rate = bad / events if events else 0.0
         return rps, failure_rate, goodput, miss_rate
 
-    def miss_rate(self) -> float:
-        """Windowed share of bad outcomes (failures + sheds + deadline
-        misses) among recent requests — cheap enough for the admission
-        controller to consult on every submit."""
+    def recent_outcomes(self, window_s: float) -> Tuple[int, float]:
+        """``(events, miss rate)`` over the last ``window_s`` seconds,
+        leaving out the breaker's own sheds — the miss-rate breaker's
+        input.  Old events age out, so an open breaker closes once the
+        misses that opened it are older than the window.  Cheap enough
+        (binary searches) to consult on every submit; bounded by the
+        deque window like :meth:`error_budget_burn`."""
+        cutoff = self._clock() - window_s
         with self._lock:
-            return self._windowed_rates(self._clock(), 0.0)[3]
-
-    def window_events(self) -> int:
-        """Requests currently represented in the sliding windows."""
-        with self._lock:
-            return (len(self._completions) + len(self._failure_times)
-                    + len(self._shed_times))
+            completions, failures, sheds, good, breaker = (
+                len(stream) - bisect_left(stream, cutoff)
+                for stream in (self._completions, self._failure_times,
+                               self._shed_times, self._good_times,
+                               self._breaker_shed_times))
+        sheds = max(0, sheds - breaker)
+        events = completions + failures + sheds
+        bad = failures + sheds + max(0, completions - good)
+        return events, (bad / events if events else 0.0)
 
     @staticmethod
     def _count_since(stream: Deque[float], cutoff: float) -> int:

@@ -41,26 +41,13 @@ Architecture
   :class:`ReplicaCrashError`, its queue is re-routed to survivors, and a
   replacement process is spawned (up to ``restart_limit`` times).
 
-* **Zero-copy data plane.**  With shared memory enabled (the default;
-  ``REPRO_REPLICA_SHM=0`` or ``shm=False`` disables), tensor payloads
-  never cross the pipe at all: the parent writes each batch **once**
-  into a 64-byte-aligned slot of the replica's request ring
-  (:mod:`repro.serving.shm`), sends a tiny control frame (slot index,
-  ring generation, descriptor table), and the replica executes straight
-  out of read-only views of the mapped slot, writing outputs into the
-  paired response-ring slot the parent reads zero-copy.  Slot
-  availability *is* the ``max_inflight`` bound, rings are retired
-  (unlinked) whole on crash so a restarted replica serves from a fresh
-  generation, and anything that does not fit a slot falls back
-  per-frame to the pipe codec below — bitwise-identical either way.
-
-* **Serialization.**  Pipe-borne requests and results (the shm-off
-  path, and the per-frame fallback) cross as compact binary frames
-  (:func:`pack_tensor_frame` / :func:`decode_tensors`): raw C-order
-  bytes plus dtype/shape headers, no pickle on the hot path, assembled
-  with a single allocation (headers packed in place, payloads
-  ``np.copyto``-ed into views of one ``bytearray``), bitwise-exact
-  round-trips by construction.
+* **Serialization.**  Requests and results cross the pipe as compact
+  binary frames (:func:`pack_tensor_frame` / :func:`decode_tensors`):
+  raw C-order bytes plus dtype/shape headers, no pickle on the hot
+  path, assembled with a single allocation (headers packed in place,
+  payloads ``np.copyto``-ed into views of one ``bytearray``),
+  bitwise-exact round-trips by construction.  The replica executes
+  straight out of read-only views of the received frame.
 
 * **Telemetry.**  Each response frame piggybacks the replica's local
   counters (requests, batches, failures, arena traffic) — a few ints,
@@ -101,7 +88,8 @@ import os
 import struct
 import threading
 import time
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,23 +104,10 @@ from ..telemetry.clock import (
     ClockSync,
 )
 from ..telemetry.flightrec import FlightRecorder
-from ..telemetry.registry import get_registry, log_buckets
 from ..telemetry.tracing import RequestTrace, Span, Tracer
 from .batcher import InferenceRequest, RequestShedError
 from .frontend import Frontend, ShedPolicy
 from .latency_model import BatchLatencyModel, model_path
-from .shm import (
-    ShmAttachment,
-    ShmChannel,
-    ShmRingSpec,
-    layout_tensors,
-    pack_descriptors,
-    read_tensors,
-    required_slot_bytes,
-    shm_available,
-    unpack_descriptors,
-    write_tensors,
-)
 
 logger = logging.getLogger("repro.serving")
 
@@ -163,10 +138,7 @@ class ReplicaProtocolError(RuntimeError):
 #                   requests, batches, failures, arena allocations,
 #                   arena reuses (zeros on frames the parent sends)
 #   payload         kind-specific (tensors for REQUEST/RESULT, a typed
-#                   message for ERROR, empty for READY/SHUTDOWN; for
-#                   SHM_REQUEST/SHM_RESULT a !II slot-index/generation
-#                   pair plus a tensor descriptor table — the payload
-#                   bytes themselves live in the shared-memory rings)
+#                   message for ERROR, empty for READY/SHUTDOWN)
 
 _MAGIC = b"RPRT"
 _KIND_REQUEST = 1
@@ -174,14 +146,10 @@ _KIND_RESULT = 2
 _KIND_ERROR = 3
 _KIND_READY = 4
 _KIND_SHUTDOWN = 5
-_KIND_SHM_REQUEST = 6
-_KIND_SHM_RESULT = 7
 # Clock probe: the replica answers with its perf_counter reading; the
 # parent brackets the round trip to estimate the clock-domain offset
 # (spawn-time handshake + periodic resync, see telemetry.clock).
 _KIND_CLOCK = 8
-
-_SHM_SLOT = struct.Struct("!II")
 
 _HEADER = struct.Struct("!4sBQ")
 _STATS = struct.Struct("!5Q")
@@ -193,7 +161,7 @@ _F64 = struct.Struct("!d")
 
 _ZERO_STATS = (0, 0, 0, 0, 0)
 
-# Optional trailing blocks.  Both tensor codecs are self-delimiting
+# Optional trailing blocks.  The tensor codec is self-delimiting
 # (decode consumes exactly what encode produced), so a traced frame can
 # append a magic-tagged block after the regular payload without
 # changing the wire format untraced frames use — old and new payloads
@@ -451,9 +419,6 @@ class ReplicaSpec:
     keys: Dict[int, str]
     reuse_buffers: bool = True
     prewarm_batches: Tuple[int, ...] = ()
-    # Shared-memory ring pair to attach (None: pipe codec only).  The
-    # generation inside ties every control frame to this spawn's rings.
-    shm: Optional[ShmRingSpec] = None
 
 
 def _replica_main(conn, spec: ReplicaSpec) -> None:
@@ -498,13 +463,7 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                 reuses += arena.stats.reuses
         return (requests, batches, failures, allocations, reuses)
 
-    attachment: Optional[ShmAttachment] = None
     try:
-        if spec.shm is not None:
-            # Attach both rings before READY: an attach failure is a
-            # startup failure the parent's handshake surfaces, never a
-            # tier silently serving over a slower path than configured.
-            attachment = ShmAttachment(spec.shm)
         for batch in spec.prewarm_batches:
             _executor_for(batch)
         conn.send_bytes(_pack_frame(_KIND_READY, 0, _stats()))
@@ -528,30 +487,12 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                 except (BrokenPipeError, OSError):
                     break
                 continue
-            if kind not in (_KIND_REQUEST, _KIND_SHM_REQUEST):
+            if kind != _KIND_REQUEST:
                 continue
             size = 0
-            trace_id = None
             try:
-                if kind == _KIND_SHM_REQUEST:
-                    slot, generation = _SHM_SLOT.unpack_from(payload, 0)
-                    if attachment is None:
-                        raise ReplicaProtocolError(
-                            "shm frame on a pipe-only replica")
-                    if generation != attachment.generation:
-                        raise ReplicaProtocolError(
-                            f"shm frame for generation {generation}, "
-                            f"attached {attachment.generation}")
-                    descs, consumed = unpack_descriptors(
-                        payload[_SHM_SLOT.size:])
-                    trace_id = _unpack_trace_ctx(
-                        payload[_SHM_SLOT.size + consumed:])
-                    # Execute straight out of the mapped slot: no
-                    # payload bytes ever crossed the pipe.
-                    feeds = attachment.request_views(slot, descs)
-                else:
-                    feeds, consumed = _decode_tensors(payload)
-                    trace_id = _unpack_trace_ctx(payload[consumed:])
+                feeds, consumed = _decode_tensors(payload)
+                trace_id = _unpack_trace_ctx(payload[consumed:])
                 size = int(next(iter(feeds.values())).shape[0]) \
                     if feeds else 0
                 executor = _executor_for(size)
@@ -564,34 +505,18 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                 finally:
                     if trace_id is not None:
                         executor.record_timeline = False
-                out_descs = None
-                if kind == _KIND_SHM_REQUEST:
-                    # One copy arena -> response slot; the parent reads
-                    # it zero-copy.  None: outputs outgrew the slot
-                    # (dynamic shapes) — fall back to the pipe codec
-                    # for this frame only.
-                    out_descs = attachment.write_response(slot, outputs)
                 requests += size
                 batches += 1
-                # A traced batch ships its spans home piggybacked on
-                # the result frame; untraced frames append nothing.
-                span_block = b""
+                # Single-allocation framing: headers packed in place,
+                # result bytes copied out of the arena once.
+                response = pack_tensor_frame(
+                    _KIND_RESULT, request_id, _stats(), outputs)
                 if trace_id is not None:
-                    span_block = _pack_span_block(
+                    # A traced batch ships its spans home piggybacked on
+                    # the result frame; untraced frames append nothing.
+                    response += _pack_span_block(
                         trace_id, recv_t, exec_start, exec_end,
                         executor.last_timeline or ())
-                if out_descs is not None:
-                    response = _pack_frame(
-                        _KIND_SHM_RESULT, request_id, _stats(),
-                        _SHM_SLOT.pack(slot, attachment.generation)
-                        + pack_descriptors(out_descs) + span_block)
-                else:
-                    # Single-allocation framing: headers packed in
-                    # place, result bytes copied out of the arena once.
-                    response = pack_tensor_frame(
-                        _KIND_RESULT, request_id, _stats(), outputs)
-                    if span_block:
-                        response += span_block
                 executor.recycle(outputs)
             except BaseException as exc:
                 failures += size if size else 1
@@ -600,12 +525,8 @@ def _replica_main(conn, spec: ReplicaSpec) -> None:
                 conn.send_bytes(response)
             except (BrokenPipeError, OSError):
                 break
-            feeds = None               # release the slot views between
-    finally:                           # frames and before close below
-        feeds = None
+    finally:
         conn.close()
-        if attachment is not None:
-            attachment.close()
 
 
 # -- front end --------------------------------------------------------------
@@ -622,7 +543,7 @@ class TierRequestTrace(RequestTrace):
         request
         ├── queue_wait       submit -> dispatcher pops the batch
         ├── slot_wait        waiting for a live replica with capacity
-        ├── batch_assembly   concat + slot write / frame pack + send
+        ├── batch_assembly   concat + frame pack + send
         ├── dispatch         frame sent -> result frame received
         │   └── replica_batch   (replica process track, clock-aligned)
         │       └── execute
@@ -646,10 +567,6 @@ class TierRequestTrace(RequestTrace):
 class _Inflight:
     requests: List[InferenceRequest]
     sent_at: float
-    # Shared-memory bookkeeping: the request-ring slot this batch rides
-    # in (None: pipe frame) and the payload bytes parked there.
-    slot: Optional[int] = None
-    shm_bytes: int = 0
     # Tracing: the sampled traces riding in this batch and the
     # perf_counter send stamp bounding the dispatch window (remote
     # spans are clamped into [sent_pc, received_pc] after alignment).
@@ -660,12 +577,10 @@ class _Inflight:
 class _Replica:
     """Parent-side handle of one replica process."""
 
-    def __init__(self, index: int, process, conn,
-                 channel: Optional[ShmChannel] = None) -> None:
+    def __init__(self, index: int, process, conn) -> None:
         self.index = index
         self.process = process
         self.conn = conn
-        self.channel = channel
         self.send_lock = threading.Lock()
         self.inflight: Dict[int, _Inflight] = {}
         self.alive = True
@@ -748,18 +663,9 @@ class ReplicaEngine(Frontend):
         surviving capacity final (default 3).
     ready_timeout_s
         How long to wait for each replica's READY handshake.
-    shm
-        Route tensor payloads through per-replica shared-memory rings
-        instead of the pipe (:mod:`repro.serving.shm`).  ``None`` (the
-        default) follows ``REPRO_REPLICA_SHM`` (on unless set to
-        ``0``); either way the tier silently runs pipe-only where POSIX
-        shared memory is unavailable.  Slot sizes are fixed from the
-        graph's input/output specs at ``max_batch``, with one slot pair
-        per ``max_inflight`` batch; oversized frames fall back to the
-        pipe codec per-request (counted in ``shm_fallbacks``).
     tracer
         Optional :class:`repro.telemetry.Tracer`; sampled requests
-        carry a :class:`TierRequestTrace` across the data plane, and
+        carry a :class:`TierRequestTrace` across the pipe, and
         finished traces include the replica's clock-aligned per-step
         spans (see the module docstring).  ``None`` (the default) keeps
         every frame byte-identical to the untraced wire format.
@@ -790,7 +696,6 @@ class ReplicaEngine(Frontend):
                  start_method: str = "spawn",
                  restart_limit: int = 3,
                  ready_timeout_s: float = 120.0,
-                 shm: Optional[bool] = None,
                  adaptive: bool = False,
                  default_slo_ms: Optional[float] = None,
                  shed_policy: Optional[ShedPolicy] = None,
@@ -852,31 +757,6 @@ class ReplicaEngine(Frontend):
             prewarm_batches=(1, self.max_batch) if self.max_batch > 1
             else (1,))
 
-        # -- shared-memory data plane ------------------------------------
-        if shm is None:
-            env = os.environ.get("REPRO_REPLICA_SHM", "")
-            shm = env.strip().lower() not in ("0", "false", "off", "no")
-        self.shm_enabled = bool(shm) and shm_available()
-        self._generation = 0
-        self._shm_requests = 0
-        self._shm_fallbacks = 0
-        self._shm_bytes_inflight = 0
-        self._slot_wait = None
-        if self.shm_enabled:
-            # Fixed slot sizes from the specs at max_batch: the common
-            # case always fits, dynamic shapes fall back per-frame.
-            self._request_slot_bytes = required_slot_bytes(
-                self.template.inputs, self.max_batch)
-            specs = self.template.infer_specs()
-            self._response_slot_bytes = required_slot_bytes(
-                [specs[name] for name in self.template.output_names],
-                self.max_batch)
-            self._slot_wait = get_registry().histogram(
-                "repro_replica_shm_slot_wait_seconds",
-                "Dispatcher wait for a live replica with a free "
-                "shared-memory slot pair",
-                buckets=log_buckets(1e-5, 4.0, 12))
-
         self._replicas: List[_Replica] = []
         self._receivers: List[threading.Thread] = []
         try:
@@ -888,8 +768,6 @@ class ReplicaEngine(Frontend):
             for replica in self._replicas:
                 if replica.process.is_alive():
                     replica.process.terminate()
-                if replica.channel is not None:
-                    replica.channel.retire()
             raise
         for replica in self._replicas:
             self._start_receiver(replica)
@@ -927,35 +805,12 @@ class ReplicaEngine(Frontend):
         with self._cond:
             return self._restarts
 
-    @property
-    def shm_requests(self) -> int:
-        """Batches whose payload crossed via a shared-memory slot."""
-        with self._cond:
-            return self._shm_requests
-
-    @property
-    def shm_fallbacks(self) -> int:
-        """Frames that fell back to the pipe codec while shm was on
-        (oversize request or response, or no free slot)."""
-        with self._cond:
-            return self._shm_fallbacks
-
-    @property
-    def shm_bytes_inflight(self) -> int:
-        """Request-payload bytes currently parked in ring slots."""
-        with self._cond:
-            return self._shm_bytes_inflight
+    # Constant since the pipe is the only transport; perfbench reads them.
+    shm_requests = 0
+    shm_fallbacks = 0
 
     def shm_segment_names(self) -> List[str]:
-        """Names of every live (non-retired) ring segment — the tier's
-        current /dev/shm footprint (tests assert it empties on close)."""
-        with self._cond:
-            names: List[str] = []
-            for replica in self._replicas:
-                channel = replica.channel
-                if channel is not None and not channel.retired:
-                    names.extend(channel.segment_names())
-            return names
+        return []
 
     # -- front-end hooks -----------------------------------------------------
 
@@ -969,7 +824,7 @@ class ReplicaEngine(Frontend):
 
     def _shutdown(self, deadline: Optional[float]) -> None:
         """Wait for in-flight batches, then shut the replica processes
-        down and unlink every ring segment."""
+        down."""
         with self._cond:
             while any(replica.alive and replica.inflight
                       for replica in self._replicas):
@@ -998,62 +853,34 @@ class ReplicaEngine(Frontend):
                 replica.conn.close()
             except OSError:
                 pass
-            if replica.channel is not None:
-                # After the join above no process maps the rings, so
-                # retirement both unlinks the names and releases the
-                # parent mapping — nothing of this tier survives in
-                # /dev/shm.
-                replica.channel.retire()
         self._join(self._receivers, None, cap=5.0)
 
     # -- lifecycle -----------------------------------------------------------
 
     def _spawn(self, index: int) -> _Replica:
-        channel: Optional[ShmChannel] = None
-        if self.shm_enabled:
-            # A fresh generation per spawn: a restarted replica can
-            # never see (or be addressed through) a predecessor's
-            # rings, so stale frames cannot alias new batches.
-            with self._cond:
-                self._generation += 1
-                generation = self._generation
-            channel = ShmChannel(self.max_inflight,
-                                 self._request_slot_bytes,
-                                 self._response_slot_bytes, generation)
-        spec = ReplicaSpec(
-            index=index,
-            cache_dir=self._spec_template.cache_dir,
-            keys=self._spec_template.keys,
-            reuse_buffers=self._spec_template.reuse_buffers,
-            prewarm_batches=self._spec_template.prewarm_batches,
-            shm=channel.spec() if channel is not None else None)
+        spec = dataclasses.replace(self._spec_template, index=index)
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        saved = {}
+        if self.blas_threads is not None:
+            # The replica inherits its environment at spawn: pin its
+            # BLAS pools so N replicas do not oversubscribe the cores
+            # they are supposed to split.
+            for var in _BLAS_ENV_VARS:
+                saved[var] = os.environ.get(var)
+                os.environ[var] = str(self.blas_threads)
         try:
-            parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-            saved = {}
-            if self.blas_threads is not None:
-                # The replica inherits its environment at spawn: pin its
-                # BLAS pools so N replicas do not oversubscribe the cores
-                # they are supposed to split.
-                for var in _BLAS_ENV_VARS:
-                    saved[var] = os.environ.get(var)
-                    os.environ[var] = str(self.blas_threads)
-            try:
-                process = self._ctx.Process(
-                    target=_replica_main, args=(child_conn, spec),
-                    name=f"repro-replica-{index}", daemon=True)
-                process.start()
-            finally:
-                for var, value in saved.items():
-                    if value is None:
-                        os.environ.pop(var, None)
-                    else:
-                        os.environ[var] = value
-        except BaseException:
-            if channel is not None:
-                channel.retire()
-            raise
+            process = self._ctx.Process(
+                target=_replica_main, args=(child_conn, spec),
+                name=f"repro-replica-{index}", daemon=True)
+            process.start()
+        finally:
+            for var, value in saved.items():
+                if value is None:
+                    os.environ.pop(var, None)
+                else:
+                    os.environ[var] = value
         child_conn.close()
-        return _Replica(index, process, parent_conn, channel=channel)
+        return _Replica(index, process, parent_conn)
 
     def _await_ready(self, replica: _Replica) -> None:
         if not replica.conn.poll(self.ready_timeout_s):
@@ -1112,15 +939,11 @@ class ReplicaEngine(Frontend):
 
     def _restart(self, replica: _Replica) -> None:
         """Spawn a replacement for a crashed replica (receiver thread)."""
-        replacement = None
         try:
             replacement = self._spawn(replica.index)
             self._await_ready(replacement)
         except BaseException:
             logger.exception("replica %d restart failed", replica.index)
-            if replacement is not None and \
-                    replacement.channel is not None:
-                replacement.channel.retire()
             with self._cond:
                 self._cond.notify_all()
             return
@@ -1136,8 +959,6 @@ class ReplicaEngine(Frontend):
         if not replacement.alive:
             replacement.process.terminate()
             replacement.process.join(timeout=1.0)
-            if replacement.channel is not None:
-                replacement.channel.retire()
             return
         self._start_receiver(replacement)
         logger.warning("replica %d restarted (pid %s)", replica.index,
@@ -1153,23 +974,11 @@ class ReplicaEngine(Frontend):
             replica.inflight.clear()
             replica.failed_requests += sum(
                 len(inflight.requests) for inflight in doomed)
-            for inflight in doomed:
-                if inflight.slot is not None:
-                    self._shm_bytes_inflight -= inflight.shm_bytes
             should_restart = (not self._closed
                               and self._restarts < self.restart_limit)
             if should_restart:
                 self._restarts += 1
             self._cond.notify_all()
-        generation = replica.channel.generation \
-            if replica.channel is not None else None
-        if replica.channel is not None:
-            # Retire the whole generation: both segment names leave
-            # /dev/shm immediately; in-flight slots die with it (a
-            # racing slot write holds the mapping open — close defers,
-            # the quarantined mapping drains, the name is already
-            # gone).  The replacement spawns fresh rings.
-            replica.channel.retire()
         try:
             replica.conn.close()
         except OSError:
@@ -1191,7 +1000,6 @@ class ReplicaEngine(Frontend):
             # if the process never recovers.
             self.flightrec.record(
                 "generation_retire", replica=replica.index,
-                generation=generation if generation is not None else -1,
                 inflight_batches=len(doomed),
                 inflight_requests=sum(len(inflight.requests)
                                       for inflight in doomed),
@@ -1208,10 +1016,6 @@ class ReplicaEngine(Frontend):
         """Least-loaded live replica with a free in-flight slot; blocks
         while all are saturated (backpressure), returns None once no
         replica is alive and no restart is pending.
-
-        With the shm data plane the in-flight bound is one ring-slot
-        pair per batch, so this wait *is* the slot wait — it feeds the
-        ``repro_replica_shm_slot_wait_seconds`` histogram.
         """
         started = time.perf_counter()
         waited = False
@@ -1222,9 +1026,6 @@ class ReplicaEngine(Frontend):
                 available = [replica for replica in live
                              if len(replica.inflight) < self.max_inflight]
                 if available:
-                    if self._slot_wait is not None:
-                        self._slot_wait.observe(
-                            time.perf_counter() - started)
                     choice = min(available,
                                  key=lambda r: len(r.inflight))
                     break
@@ -1275,60 +1076,24 @@ class ReplicaEngine(Frontend):
                     [request.feeds[name] for request in batch], axis=0)
                 for name in self._input_specs
             }
-        descs = None
-        total = 0
-        if replica.channel is not None:
-            descs, total = layout_tensors(feeds)
-            if total > replica.channel.request_slot_bytes:
-                descs = None               # oversize: pipe fallback
-        slot = None
-        view = None
         with self._cond:
             if not replica.alive:
                 # The in-flight registry is only mutated while the
                 # replica is alive, so the crash handler's drain is
                 # guaranteed to see every registered batch.
                 return False
-            if descs is not None:
-                slot = replica.channel.acquire_slot()
-                if slot is not None:
-                    # Materialize the slot view while the replica is
-                    # known alive: a concurrent retirement now finds a
-                    # live export and defers its close, so the write
-                    # below lands in a (worst case quarantined) mapping
-                    # rather than a released one.
-                    view = replica.channel.request_ring.slot_view(slot)
-                    self._shm_bytes_inflight += total
-                    self._shm_requests += 1
-            if replica.channel is not None and slot is None:
-                self._shm_fallbacks += 1
             request_id = self._next_id
             self._next_id += 1
-            entry = _Inflight(
-                batch, time.monotonic(), slot=slot,
-                shm_bytes=total if slot is not None else 0,
-                traces=traces)
+            entry = _Inflight(batch, time.monotonic(), traces=traces)
             replica.inflight[request_id] = entry
-        # A traced batch asks the replica for spans by appending the
-        # trace-context block after the regular payload (both codecs
-        # are self-delimiting, so untraced frames are byte-identical to
-        # the pre-tracing wire format).
-        trailer = _TRACE_CTX.pack(_TRACE_CTX_MAGIC, traces[0].trace_id) \
-            if traces else b""
-        if slot is not None:
-            # The data plane's single copy, outside the lock: payload
-            # bytes go straight into the mapped slot and only the tiny
-            # control frame crosses the pipe.
-            write_tensors(view, feeds, descs)
-            frame = _pack_frame(
-                _KIND_SHM_REQUEST, request_id,
-                payload=_SHM_SLOT.pack(slot, replica.channel.generation)
-                + pack_descriptors(descs) + trailer)
-        else:
-            frame = pack_tensor_frame(_KIND_REQUEST, request_id,
-                                      _ZERO_STATS, feeds)
-            if trailer:
-                frame += trailer
+        frame = pack_tensor_frame(_KIND_REQUEST, request_id, _ZERO_STATS,
+                                  feeds)
+        if traces:
+            # A traced batch asks the replica for spans by appending the
+            # trace-context block after the regular payload (the codec
+            # is self-delimiting, so untraced frames are byte-identical
+            # to the pre-tracing wire format).
+            frame += _TRACE_CTX.pack(_TRACE_CTX_MAGIC, traces[0].trace_id)
         probe_id = None
         if self.tracer is not None and \
                 replica.clock.stale(resync_s=self.clock_resync_s):
@@ -1366,9 +1131,8 @@ class ReplicaEngine(Frontend):
             # the registered in-flight entry, failing these futures.
             self._on_replica_failure(replica, exc)
             return True
-        self.flightrec.record(
-            "batch", replica=replica.index, size=len(batch),
-            slot=slot if slot is not None else -1, shm_bytes=total)
+        self.flightrec.record("batch", replica=replica.index,
+                              size=len(batch), bytes=len(frame))
         return True
 
     # -- receive -------------------------------------------------------------
@@ -1385,9 +1149,8 @@ class ReplicaEngine(Frontend):
                 logger.exception("replica %d sent a malformed frame",
                                  replica.index)
                 break
-            if kind in (_KIND_RESULT, _KIND_SHM_RESULT):
-                self._on_result(replica, request_id, stats, payload,
-                                shm=(kind == _KIND_SHM_RESULT))
+            if kind == _KIND_RESULT:
+                self._on_result(replica, request_id, stats, payload)
             elif kind == _KIND_ERROR:
                 self._on_error(replica, request_id, stats, payload)
             elif kind == _KIND_CLOCK:
@@ -1451,85 +1214,40 @@ class ReplicaEngine(Frontend):
         for trace in entry.traces:
             trace.attach_children("dispatch", [root])
 
-    def _peek_inflight(self, replica: _Replica, request_id: int,
-                       stats: Tuple[int, ...]) -> Optional[_Inflight]:
-        """Look the entry up *without* releasing anything: its slots
-        stay owned until :meth:`_finish_inflight` — releasing before
-        the result bytes are copied out would let the next batch
-        overwrite a response slot still being read."""
+    def _finish_inflight(self, replica: _Replica, request_id: int,
+                         stats: Tuple[int, ...]) -> Optional[_Inflight]:
+        """Record the piggybacked child counters and pop the entry,
+        freeing its in-flight slot; None when the crash handler raced
+        us and already failed the batch."""
         with self._cond:
             replica.child_stats = tuple(stats)
-            return replica.inflight.get(request_id)
-
-    def _finish_inflight(self, replica: _Replica,
-                         request_id: int) -> Optional[_Inflight]:
-        """Pop the entry and recycle its ring slot; None when the
-        crash handler raced us and already failed the batch."""
-        with self._cond:
             entry = replica.inflight.pop(request_id, None)
-            if entry is not None and entry.slot is not None:
-                if replica.channel is not None:
-                    replica.channel.release_slot(entry.slot)
-                self._shm_bytes_inflight -= entry.shm_bytes
             self._cond.notify_all()
         return entry
 
     def _on_result(self, replica: _Replica, request_id: int,
-                   stats: Tuple[int, ...], payload,
-                   shm: bool = False) -> None:
+                   stats: Tuple[int, ...], payload) -> None:
         received_pc = time.perf_counter()
-        entry = self._peek_inflight(replica, request_id, stats)
+        entry = self._finish_inflight(replica, request_id, stats)
         if entry is None:
             return
         requests = entry.requests
         span_block = None
         try:
-            if shm:
-                slot, generation = _SHM_SLOT.unpack_from(payload, 0)
-                channel = replica.channel
-                with self._cond:
-                    if channel is None or channel.retired or \
-                            generation != channel.generation or \
-                            slot != entry.slot:
-                        raise ReplicaProtocolError(
-                            f"shm result for slot {slot} generation "
-                            f"{generation} does not match the in-"
-                            f"flight batch")
-                    # Export the view under the lock (same rule as the
-                    # send side): a concurrent retirement defers its
-                    # close instead of unmapping under the read.
-                    view = channel.response_ring.slot_view(slot)
-                descs, consumed = unpack_descriptors(
-                    payload[_SHM_SLOT.size:])
-                if entry.traces:
-                    span_block = _unpack_span_block(
-                        payload[_SHM_SLOT.size + consumed:])
-                outputs = read_tensors(view, descs)
-            else:
-                if entry.slot is not None:
-                    # The batch went out over shm but the outputs did
-                    # not fit the response slot: the replica fell back
-                    # to an inline pipe result for this frame.
-                    with self._cond:
-                        self._shm_fallbacks += 1
-                outputs, consumed = _decode_tensors(payload)
-                if entry.traces:
-                    span_block = _unpack_span_block(payload[consumed:])
-            # The per-request split is the read side's only copy; the
-            # response slot is free for reuse the moment it is done.
+            outputs, consumed = _decode_tensors(payload)
+            if entry.traces:
+                span_block = _unpack_span_block(payload[consumed:])
+            # The per-request split is the read side's only copy.
             results = [
                 {name: array[index:index + 1].copy()
                  for name, array in outputs.items()}
                 for index in range(len(requests))
             ]
         except BaseException as exc:
-            if self._finish_inflight(replica, request_id) is not None:
-                self._record_replica_failure(
-                    replica, requests, ReplicaError(
-                        f"replica {replica.index} returned an "
-                        f"undecodable result: {exc}"))
-            return
-        if self._finish_inflight(replica, request_id) is None:
+            self._record_replica_failure(
+                replica, requests, ReplicaError(
+                    f"replica {replica.index} returned an "
+                    f"undecodable result: {exc}"))
             return
         if entry.traces:
             for trace in entry.traces:
@@ -1547,9 +1265,7 @@ class ReplicaEngine(Frontend):
 
     def _on_error(self, replica: _Replica, request_id: int,
                   stats: Tuple[int, ...], payload) -> None:
-        with self._cond:
-            replica.child_stats = tuple(stats)
-        entry = self._finish_inflight(replica, request_id)
+        entry = self._finish_inflight(replica, request_id, stats)
         if entry is None:
             return
         try:

@@ -27,10 +27,8 @@ engine or replica tier)              slo_misses/slow_requests (``_total``)
                                      error-budget burn
 replica tier              counters   replica requests/failures and child
                                      arena allocations (labeled
-                                     ``replica="N"``), tier restarts,
-                                     shm requests/fallbacks
-                          gauges     live replicas, per-replica inflight,
-                                     shm bytes inflight
+                                     ``replica="N"``), tier restarts
+                          gauges     live replicas, per-replica inflight
 safety pipeline           counters   samples{action=...}, anomalies{kind=...}
 ========================  =========  =====================================
 
@@ -333,11 +331,7 @@ def _collect_replica_tiers() -> Iterable[MetricFamily]:
         "repro_replica_arena_allocations_total", "counter",
         "Scratch-arena heap allocations inside each replica process")
     live = restarts = 0
-    shm_bytes = shm_requests = shm_fallbacks = 0
     for tier in list(_replica_tiers):
-        shm_bytes += tier.shm_bytes_inflight
-        shm_requests += tier.shm_requests
-        shm_fallbacks += tier.shm_fallbacks
         for stats in tier.replica_stats():
             labels = (("replica", str(stats.index)),)
             requests_family.samples.append(Sample(
@@ -365,18 +359,6 @@ def _collect_replica_tiers() -> Iterable[MetricFamily]:
     yield _counter_family(
         "repro_replica_tier_restarts_total",
         "Replica processes restarted after a crash", restarts)
-    yield _gauge_family(
-        "repro_replica_shm_bytes_inflight",
-        "Request payload bytes currently parked in shared-memory ring "
-        "slots across replica tiers", shm_bytes)
-    yield _counter_family(
-        "repro_replica_shm_requests_total",
-        "Batches whose payload crossed the replica data plane via a "
-        "shared-memory slot", shm_requests)
-    yield _counter_family(
-        "repro_replica_shm_fallbacks_total",
-        "Frames that fell back to the pipe codec while shared memory "
-        "was enabled (oversize payload or no free slot)", shm_fallbacks)
 
 
 def _collect_pipelines() -> Iterable[MetricFamily]:

@@ -3,9 +3,9 @@
 Covers clock alignment (min-RTT midpoint estimate), the flight
 recorder (ring semantics, versioned dumps, Chrome siblings), SLO
 burn-rate accounting, the span/trace-context wire trailers, and the
-replica tier's merged fleet traces in both data planes — including the
-crash-restart path (spans in flight when a replica dies must still
-merge into a valid trace, and the crash must auto-dump the recorder).
+replica tier's merged fleet traces — including the crash-restart path
+(spans in flight when a replica dies must still merge into a valid
+trace, and the crash must auto-dump the recorder).
 """
 
 import concurrent.futures
@@ -32,7 +32,6 @@ from repro.serving.replicas import (
     _TRACE_CTX_MAGIC,
     encode_tensors,
 )
-from repro.serving.shm import shm_available
 from repro.telemetry import (
     ClockSync,
     FlightRecorder,
@@ -304,13 +303,6 @@ def mlp_feeds(mlp_graph):
     return sample_feeds(mlp_graph, seed=3)
 
 
-def _data_planes():
-    planes = [False]
-    if shm_available():
-        planes.append(True)
-    return planes
-
-
 def _drive(tier, feeds, count):
     futures = [tier.infer(feeds) for _ in range(count)]
     for future in futures:
@@ -335,15 +327,12 @@ def _dispatch_window_violations(traces):
 
 
 class TestFleetTracing:
-    @pytest.mark.parametrize("shm", _data_planes(),
-                             ids=lambda shm: "shm" if shm else "pipe")
-    def test_merged_trace_both_data_planes(self, mlp_graph, mlp_feeds,
-                                           tmp_path, shm):
+    def test_merged_fleet_trace(self, mlp_graph, mlp_feeds, tmp_path):
         tracer = Tracer(sample_rate=1.0, capacity=256)
         with ReplicaEngine(mlp_graph, replicas=2, max_batch=4,
                            max_latency_ms=5.0, max_inflight=1,
                            shed_policy=ROOMY_QUEUE, cache_dir=tmp_path,
-                           shm=shm, tracer=tracer) as tier:
+                           tracer=tracer) as tier:
             # Coalesce 8 full batches behind the dispatch gate: with a
             # one-batch in-flight budget the dispatcher must overflow
             # onto the second replica while the first executes, so both
@@ -468,8 +457,6 @@ class TestFleetTracing:
                       if event["kind"] == "generation_retire")
         assert retire["replica"] == 0
         assert retire["restarting"] is True
-        # (c) no shared-memory leak across the crash + close.
-        assert tier.shm_segment_names() == []
 
     def test_breaker_dump_document_shape(self, tmp_path):
         # The breaker path dumps with reason "breaker-trip"; the dump

@@ -4,9 +4,7 @@ Both backends — the in-process :class:`InferenceEngine` and the
 multi-process :class:`ReplicaEngine` — serve through one
 :class:`repro.serving.frontend.Frontend`, so every admission, shedding,
 completion and telemetry behaviour is checked here against both, with
-identical scripts and identical expected counts.  The tier runs in
-whichever data plane ``REPRO_REPLICA_SHM`` selects (CI runs the suite
-with shared memory on and off).
+identical scripts and identical expected counts.
 """
 
 import logging
@@ -25,9 +23,11 @@ from repro.runtime.plan_cache import PlanCache
 from repro.serving import (
     EngineClosedError,
     InferenceEngine,
+    MetricsRecorder,
     ReplicaEngine,
     RequestShedError,
     ShedPolicy,
+    frontend as frontend_module,
     sample_feeds,
 )
 from repro.telemetry import MetricsRegistry, registry_to_json
@@ -243,6 +243,36 @@ class TestFrontend:
         written = [path for path in dumps.glob("flightrec-*.json")
                    if not path.name.endswith(".trace.json")]
         assert len(written) == 1 and "breaker-trip" in written[0].name
+
+    def test_breaker_closes_once_its_misses_age_out(self, serve,
+                                                   mlp_feeds):
+        # The breaker judges outcomes from a fixed time window and never
+        # counts its own sheds: once the misses that opened it are older
+        # than the window, priority-0 traffic is served again, however
+        # much the breaker shed meanwhile.  A fake recorder clock moves
+        # time; the warm-up runs at priority 1 so a mid-burst trip
+        # cannot shed it.
+        window_s = frontend_module.BREAKER_WINDOW_S
+        now = [0.0]
+        policy = ShedPolicy(miss_rate_threshold=0.5, min_events=4)
+        frontend = serve(max_batch=4, max_latency_ms=1.0,
+                         shed_policy=policy)
+        frontend.recorder = MetricsRecorder(clock=lambda: now[0])
+        frontend.flightrec.clear()
+        frontend.infer_many([mlp_feeds] * 8, timeout=60, slo_ms=1e-6,
+                            priority=1)
+        assert frontend.metrics().slo_misses == 8
+        now[0] += window_s - 1.0          # the misses are still recent
+        for _ in range(8):
+            with pytest.raises(RequestShedError):
+                frontend.infer_sync(mlp_feeds, timeout=60, slo_ms=10000)
+        now[0] += 2.0                     # ... and now they are not
+        for _ in range(8):
+            assert frontend.infer_sync(mlp_feeds, timeout=60,
+                                       slo_ms=10000)
+        # The breaker's sheds still count everywhere else.
+        assert frontend.metrics().shed == 8
+        assert shed_reasons(frontend) == ["breaker"] * 8
 
     def test_adaptive_sheds_doomed_requests(self, serve, mlp_feeds):
         # A request whose deadline passes while queued is shed by the

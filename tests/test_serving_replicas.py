@@ -3,6 +3,11 @@
 Process-spawning tests share one module-scoped 2-replica tier (spawn
 costs ~0.5 s each); tests that damage the tier (crashes, closes) build
 their own.
+
+Bitwise comparisons always run under *matched batch composition*
+(``max_batch=1`` or the dispatch-gate seam): BLAS results legitimately
+differ across batch shapes, in-process or not, so only equal-shape runs
+are comparable bit for bit.
 """
 
 import os
@@ -13,11 +18,14 @@ import numpy as np
 import pytest
 
 from repro.ir import build_model
+from repro.optim import CastFP16, QuantizePass, calibrate, fuse_graph
 from repro.runtime import Executor
 from repro.serving import (
     EngineClosedError,
     ReplicaCrashError,
     ReplicaEngine,
+    RequestShedError,
+    ShedPolicy,
     TierSaturatedError,
     sample_feeds,
 )
@@ -25,13 +33,29 @@ from repro.serving.replicas import (
     ReplicaProtocolError,
     _KIND_ERROR,
     _KIND_REQUEST,
+    _ZERO_STATS,
     _pack_error,
     _pack_frame,
     _unpack_error,
     _unpack_frame,
     decode_tensors,
     encode_tensors,
+    pack_tensor_frame,
 )
+
+# A queue bound no test here reaches.
+ROOMY_QUEUE = ShedPolicy(queue_limit=64)
+
+
+def mixed_arrays(seed=0):
+    rng = np.random.default_rng(seed)
+    return {
+        "fp32": rng.standard_normal((2, 3, 4)).astype(np.float32),
+        "fp16": rng.standard_normal((5,)).astype(np.float16),
+        "int8": rng.integers(-128, 127, (3, 3), dtype=np.int8),
+        "strided": np.arange(24, dtype=np.float32).reshape(4, 6).T,
+        "scalarish": np.ones((1,), dtype=np.float64),
+    }
 
 
 class TestWireCodec:
@@ -96,6 +120,28 @@ class TestWireCodec:
         exc_kind, message = _unpack_error(payload)
         assert exc_kind == "ValueError"
         assert "bad feed" in message
+
+
+class TestPackTensorFrame:
+    def test_wire_compatible_with_legacy_codec(self):
+        # Byte-for-byte equal to the two-stage encode + frame pack the
+        # pipe path used before: replicas on either codec interoperate.
+        arrays = mixed_arrays(3)
+        stats = (1, 2, 3, 4, 5)
+        fast = pack_tensor_frame(_KIND_REQUEST, 42, stats, arrays)
+        legacy = _pack_frame(_KIND_REQUEST, 42, stats,
+                             encode_tensors(arrays))
+        assert bytes(fast) == bytes(legacy)
+
+    def test_roundtrip_through_frame_codec(self):
+        arrays = mixed_arrays(4)
+        frame = pack_tensor_frame(_KIND_REQUEST, 7, _ZERO_STATS, arrays)
+        kind, request_id, stats, payload = _unpack_frame(bytes(frame))
+        assert (kind, request_id) == (_KIND_REQUEST, 7)
+        decoded = decode_tensors(payload)
+        for name, array in arrays.items():
+            assert decoded[name].tobytes() == \
+                np.ascontiguousarray(array).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -267,3 +313,65 @@ class TestReplicaLifecycle:
             assert second.infer_sync(mlp_feeds, timeout=60)
         finally:
             second.close(timeout=30)
+
+
+def quantized_net():
+    g = fuse_graph(build_model("tiny_convnet", batch=1))
+    rng = np.random.default_rng(7)
+    feeds = [{"input": rng.normal(size=(1, 3, 32, 32))
+              .astype(np.float32)} for _ in range(3)]
+    return QuantizePass(calibrate(g, feeds)).run(g)
+
+
+ZOO_VARIANTS = {
+    "float-mlp": lambda: build_model("mlp", batch=1),
+    "fp16-mlp": lambda: CastFP16().run(build_model("mlp", batch=1)),
+    "quantized-convnet": quantized_net,
+}
+
+
+class TestZooBitwiseIdentity:
+    @pytest.mark.parametrize("variant", sorted(ZOO_VARIANTS))
+    def test_tier_matches_direct_executor(self, variant, tmp_path):
+        # max_batch=1 pins the batch composition, so the tier and the
+        # direct executor run identical kernels on identical shapes and
+        # must agree bit for bit.
+        graph = ZOO_VARIANTS[variant]()
+        samples = [sample_feeds(graph, seed=seed) for seed in range(6)]
+        direct = Executor(graph.with_batch(1))
+        expected = [direct.run(sample) for sample in samples]
+        with ReplicaEngine(graph, replicas=1, max_batch=1,
+                           shed_policy=ROOMY_QUEUE,
+                           cache_dir=tmp_path) as engine:
+            outputs = engine.infer_many(samples, timeout=120)
+        for reference, got in zip(expected, outputs):
+            assert set(got) == set(reference)
+            for name in reference:
+                assert got[name].dtype == reference[name].dtype
+                assert got[name].tobytes() == reference[name].tobytes()
+
+
+class TestAdaptiveTierFrontEnd:
+    def test_doomed_requests_shed_before_the_data_plane(
+            self, mlp_graph, mlp_feeds, tmp_path):
+        # A request whose deadline already passed while queued must be
+        # shed by the front end — never serialized, never sent to a
+        # replica — while fresh traffic keeps flowing.
+        with ReplicaEngine(mlp_graph, replicas=1, max_batch=2,
+                           max_latency_ms=1.0, shed_policy=ROOMY_QUEUE,
+                           cache_dir=tmp_path, adaptive=True,
+                           headroom_ms=0.0) as engine:
+            # Warm the latency model past min_samples so the assembly
+            # path can cost batches (a cold model never sheds).
+            engine.infer_many([mlp_feeds] * 16, timeout=60)
+            sent_before = engine.replica_stats()[0].child_requests
+            engine._dispatch_gate.clear()
+            doomed = engine.infer(mlp_feeds, slo_ms=0.01)
+            time.sleep(0.05)                # deadline passes in queue
+            engine._dispatch_gate.set()
+            with pytest.raises(RequestShedError):
+                doomed.result(timeout=30)
+            assert engine.metrics().shed >= 1
+            # The shed request never reached the replica.
+            assert engine.replica_stats()[0].child_requests == sent_before
+            assert engine.infer_sync(mlp_feeds, timeout=60)
